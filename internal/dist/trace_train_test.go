@@ -8,8 +8,11 @@
 package dist_test
 
 import (
+	"bytes"
 	"testing"
+	"time"
 
+	"paradl/internal/ckpt"
 	"paradl/internal/core"
 	"paradl/internal/dist"
 	"paradl/internal/model"
@@ -26,10 +29,12 @@ func traceOpts(extra ...dist.Option) []dist.Option {
 }
 
 // TestTraceEveryPlan: the full eight-plan matrix on tinycnn-nobn, each
-// run traced. Gates per plan: bit-identical losses vs the untraced run,
-// per-PE span coverage, exact PE-track count, every iteration labelled,
-// no ring drops, and the phases that define the strategy present with
-// nonzero time.
+// run traced, checkpointing every 2 iterations and with one injected
+// straggle. Gates per plan: bit-identical losses and checkpoint states
+// vs the untraced run, per-PE span coverage, exact PE-track count,
+// every iteration labelled, no ring drops, the checkpoint-put and idle
+// phases (the iteration shell's own spans) present, and the phases that
+// define the strategy present with nonzero time.
 func TestTraceEveryPlan(t *testing.T) {
 	cases := []struct {
 		plan   dist.Plan
@@ -49,16 +54,36 @@ func TestTraceEveryPlan(t *testing.T) {
 	batches := toyBatches(t, m, iters, 8)
 	for _, tc := range cases {
 		t.Run(tc.plan.String(), func(t *testing.T) {
+			// run trains the plan with a checkpoint sink and a straggle
+			// on the last PE, returning the encoded snapshots.
+			run := func(extra ...dist.Option) (*dist.Result, [][]byte) {
+				t.Helper()
+				var snaps [][]byte
+				sink := func(st *ckpt.State) {
+					enc, err := st.Encode()
+					if err != nil {
+						t.Errorf("encode snapshot: %v", err)
+					}
+					snaps = append(snaps, enc)
+				}
+				opts := traceOpts(append(extra, dist.WithCheckpoint(2, sink),
+					dist.WithDelay(tc.plan.P()-1, 1, time.Millisecond))...)
+				res, err := dist.Run(m, batches, tc.plan, opts...)
+				if err != nil {
+					t.Fatalf("run: %v", err)
+				}
+				return res, snaps
+			}
 			rec := trace.NewRecorder()
-			traced, err := dist.Run(m, batches, tc.plan, traceOpts(dist.WithTrace(rec))...)
-			if err != nil {
-				t.Fatalf("traced run: %v", err)
-			}
-			plain, err := dist.Run(m, batches, tc.plan, traceOpts()...)
-			if err != nil {
-				t.Fatalf("untraced run: %v", err)
-			}
+			traced, tracedSnaps := run(dist.WithTrace(rec))
+			plain, plainSnaps := run()
 			assertBitIdentical(t, tc.plan.String(), traced, plain)
+			if len(tracedSnaps) != 1 || len(plainSnaps) != 1 {
+				t.Fatalf("got %d traced and %d untraced snapshots, want 1 each", len(tracedSnaps), len(plainSnaps))
+			}
+			if !bytes.Equal(tracedSnaps[0], plainSnaps[0]) {
+				t.Fatal("traced checkpoint state differs from the untraced one")
+			}
 
 			sum := rec.Summarize()
 			if sum.PEs != tc.plan.P() {
@@ -73,8 +98,10 @@ func TestTraceEveryPlan(t *testing.T) {
 			if sum.Coverage < 0.95 {
 				t.Fatalf("span coverage %.3f < 0.95: the spans do not tile the PE timelines", sum.Coverage)
 			}
-			// Every plan computes; the strategy-specific phases define it.
-			want := append([]trace.Phase{trace.ComputeForward, trace.ComputeBackward}, tc.phases...)
+			// Every plan computes, checkpoints and idles through the
+			// straggle; the strategy-specific phases define it.
+			want := append([]trace.Phase{trace.ComputeForward, trace.ComputeBackward,
+				trace.CheckpointPut, trace.Idle}, tc.phases...)
 			for _, ph := range want {
 				if sum.PhaseNS[ph.String()] <= 0 {
 					t.Fatalf("phase %q absent from %s trace: %v", ph, tc.plan, sum.PhaseNS)
