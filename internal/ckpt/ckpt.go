@@ -221,7 +221,17 @@ func Decode(b []byte) (*State, error) {
 	if h.Version < 1 || h.Version > version {
 		return nil, fmt.Errorf("ckpt: unsupported version %d (this build reads 1..%d)", h.Version, version)
 	}
+	// Counts are checked before anything is allocated from them: a
+	// forged header behind a valid trailer must fail, not panic. No
+	// real model has more layers than its checkpoint has bytes, so that
+	// bound also keeps a huge layer count from forcing a huge allocation.
+	if h.NLosses < 0 || h.NLayers < 0 || h.NLayers > len(b) {
+		return nil, fmt.Errorf("ckpt: header declares %d losses and %d layers", h.NLosses, h.NLayers)
+	}
 	payload := rest[hlen:]
+	// Every count is bounded by the payload values still unclaimed as it
+	// is built, so no forged loss count or shape can overflow.
+	avail := len(payload) / 8
 	n := h.NLosses
 	for _, e := range h.Dir {
 		vol := 1
@@ -229,12 +239,15 @@ func Decode(b []byte) (*State, error) {
 			if d < 1 {
 				return nil, fmt.Errorf("ckpt: layer %d %s has invalid shape %v", e.Layer, e.Field, e.Shape)
 			}
+			if d > (avail-n)/vol {
+				return nil, fmt.Errorf("ckpt: layer %d %s shape %v exceeds the %d-byte payload", e.Layer, e.Field, e.Shape, len(payload))
+			}
 			vol *= d
 		}
 		n += vol
 	}
-	if h.NLosses < 0 || len(payload) != 8*n {
-		return nil, fmt.Errorf("ckpt: payload is %d bytes, directory declares %d", len(payload), 8*n)
+	if n > avail || len(payload) != 8*n {
+		return nil, fmt.Errorf("ckpt: payload is %d bytes, directory declares %d values", len(payload), n)
 	}
 
 	s := &State{

@@ -177,3 +177,61 @@ func TestCkptLoadRejectsCorruptFile(t *testing.T) {
 		t.Fatal("Load accepted a corrupted checkpoint file")
 	}
 }
+
+// TestDecodeRejectsNegativeCounts: a header with a negative layer or
+// loss count behind a valid trailer is an error, not a makeslice panic,
+// and LatestValid falls back past such a newest file to the older
+// valid snapshot instead of crashing the elastic supervisor.
+func TestDecodeRejectsNegativeCounts(t *testing.T) {
+	enc, err := testState().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ nlayers, nlosses int }{{-1, 3}, {2, -1}} {
+		forged, err := ckpt.ForgeCountsForTest(enc, c.nlayers, c.nlosses)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ckpt.Decode(forged); err == nil {
+			t.Fatalf("nlayers %d, nlosses %d decoded without error", c.nlayers, c.nlosses)
+		}
+	}
+
+	dir := t.TempDir()
+	s := testState()
+	s.Iter = 2
+	if _, err := ckpt.Save(dir, s); err != nil {
+		t.Fatal(err)
+	}
+	forged, err := ckpt.ForgeCountsForTest(enc, -1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ckpt.FileName(4)), forged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, path, err := ckpt.LatestValid(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Iter != 2 || filepath.Base(path) != ckpt.FileName(2) {
+		t.Fatalf("fell back to iter %d (%s), want 2", st.Iter, path)
+	}
+}
+
+// TestDecodeRejectsOverflowingShape: a directory entry whose shape
+// product wraps to zero (2³²·2³² on 64-bit ints) must not decode into a
+// zero-length tensor claiming that shape.
+func TestDecodeRejectsOverflowingShape(t *testing.T) {
+	enc, err := testState().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged, err := ckpt.ForgeDirEntryForTest(enc, 0, "Gamma", []int{1 << 32, 1 << 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err := ckpt.Decode(forged); err == nil {
+		t.Fatalf("overflowing shape decoded without error: layer 0 gamma %v", s.Params[0].Gamma.Shape())
+	}
+}

@@ -63,20 +63,34 @@ func EncodeV1ForTest(s *State) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rewriteVersionForTest(enc, 1)
+	return rewriteHeaderForTest(enc, func(h *header) { h.Version = 1 })
 }
 
-// rewriteVersionForTest rewrites the header's version field and
-// re-derives the length prefix and SHA-256 trailer, yielding a file
-// that is valid at the requested header version.
-func rewriteVersionForTest(enc []byte, v int) ([]byte, error) {
+// ForgeCountsForTest re-seals enc with its header's layer and loss
+// counts replaced: a forged file that passes the checksum.
+func ForgeCountsForTest(enc []byte, nlayers, nlosses int) ([]byte, error) {
+	return rewriteHeaderForTest(enc, func(h *header) { h.NLayers, h.NLosses = nlayers, nlosses })
+}
+
+// ForgeDirEntryForTest re-seals enc with one extra directory entry of
+// the given shape and an unchanged payload.
+func ForgeDirEntryForTest(enc []byte, layer int, field string, shape []int) ([]byte, error) {
+	return rewriteHeaderForTest(enc, func(h *header) {
+		h.Dir = append(h.Dir, dirEntry{Layer: layer, Field: field, Kind: "param", Shape: shape})
+	})
+}
+
+// rewriteHeaderForTest applies edit to enc's header and re-derives the
+// length prefix and SHA-256 trailer, yielding a file whose integrity
+// checks pass whatever the edited header claims.
+func rewriteHeaderForTest(enc []byte, edit func(*header)) ([]byte, error) {
 	hlen := int(binary.LittleEndian.Uint32(enc[len(magic):]))
 	hdrStart := len(magic) + 4
 	var h header
 	if err := json.Unmarshal(enc[hdrStart:hdrStart+hlen], &h); err != nil {
 		return nil, err
 	}
-	h.Version = v
+	edit(&h)
 	hdr, err := json.Marshal(h)
 	if err != nil {
 		return nil, err

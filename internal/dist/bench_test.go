@@ -76,7 +76,7 @@ func BenchmarkRunSequential(b *testing.B) {
 	batches := benchBatches(b, m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dist.RunSequential(m, seed, batches, lr)
+		sequential(b, m, batches)
 	}
 }
 

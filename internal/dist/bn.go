@@ -2,6 +2,7 @@ package dist
 
 import (
 	"paradl/internal/tensor"
+	"paradl/internal/trace"
 )
 
 // bnEps matches the epsilon hard-wired into nn.ForwardLayer's batch
@@ -13,14 +14,16 @@ const bnEps = 1e-5
 // Allreducing the local sums, so a partitioned run normalizes with
 // exactly the statistics the sequential baseline sees. Two passes —
 // mean first, then centered squares — mirror the sequential kernel's
-// arithmetic so the only divergence is summation reassociation.
+// arithmetic so the only divergence is summation reassociation. The
+// statistic allreduces are attributed to the bn-sync phase.
 func syncBNForward(c *Comm, x, gamma, beta *tensor.Tensor) (*tensor.Tensor, *tensor.BNState) {
+	defer c.tr.Begin(c.tr.Begin(trace.BNSync))
 	sum, localCnt := channelSums(x)
-	sum = c.AllReduceSum(sum)
-	cnt := int(c.AllReduceScalar(float64(localCnt)))
+	sum = c.allReduceSum(sum)
+	cnt := int(c.allReduceScalar(float64(localCnt)))
 	mean := sum
 	mean.Scale(1 / float64(cnt))
-	variance := c.AllReduceSum(centeredSquares(x, mean))
+	variance := c.allReduceSum(centeredSquares(x, mean))
 	variance.Scale(1 / float64(cnt))
 	return tensor.BNForwardWithStats(x, gamma, beta, mean, variance, bnEps, cnt)
 }
@@ -30,9 +33,10 @@ func syncBNForward(c *Comm, x, gamma, beta *tensor.Tensor) (*tensor.Tensor, *ten
 // (identical on every PE) and must NOT enter a later gradient
 // Allreduce.
 func syncBNBackward(c *Comm, dy, gamma *tensor.Tensor, st *tensor.BNState) (dx, dgamma, dbeta *tensor.Tensor) {
+	defer c.tr.Begin(c.tr.Begin(trace.BNSync))
 	sumDyXhat, sumDy := tensor.BNBackwardReduce(dy, st)
-	sumDyXhat = c.AllReduceSum(sumDyXhat)
-	sumDy = c.AllReduceSum(sumDy)
+	sumDyXhat = c.allReduceSum(sumDyXhat)
+	sumDy = c.allReduceSum(sumDy)
 	dx = tensor.BNBackwardApply(dy, gamma, st, sumDyXhat, sumDy)
 	return dx, sumDyXhat, sumDy
 }

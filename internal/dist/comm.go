@@ -10,6 +10,7 @@ import (
 
 	"paradl/internal/collective"
 	"paradl/internal/tensor"
+	"paradl/internal/trace"
 )
 
 // errAborted is panicked by blocked communication calls when another PE
@@ -154,6 +155,15 @@ func (w *World) fail(err error) {
 // Comm handles with the same membership (e.g. two separate Sub calls
 // over the same ranks) must not have nonblocking operations in flight
 // concurrently.
+//
+// tr is the owning PE's tracer (nil when tracing is off), inherited by
+// Sub so every communicator of a PE writes the same track. The blocking
+// collectives open their own collective-wait span on it and restore
+// the caller's phase. The exchange helpers (halo, sync-BN, pipeline
+// transfer) open their own phase instead and the checkpoint state
+// gathers run inside the driver's checkpoint-put span; both use the
+// unexported untraced primitives, so their traffic keeps that
+// attribution.
 type Comm struct {
 	w       *World
 	rank    int
@@ -162,6 +172,7 @@ type Comm struct {
 	stream  string   // mailbox stream this handle's traffic uses ("" = base)
 	nseq    int      // distinct nonblocking stream ids minted on this handle
 	free    []string // Waited stream ids available for reuse (LIFO)
+	tr      *trace.PE
 }
 
 // Comm returns the world communicator handle of the given rank.
@@ -175,6 +186,8 @@ func (w *World) Comm(rank int) *Comm {
 // withStream returns a view of the communicator whose traffic flows on
 // the given mailbox stream — the isolation mechanism of nonblocking
 // collectives and of the two-tree's concurrently streaming halves.
+// Those views run on worker goroutines, so they carry no tracer: a
+// PE's track has a single writer, its own goroutine.
 func (c *Comm) withStream(stream string) *Comm {
 	return &Comm{w: c.w, rank: c.rank, members: c.members, key: c.key, stream: stream}
 }
@@ -225,7 +238,7 @@ func (c *Comm) Sub(members []int) *Comm {
 		key.WriteByte(':')
 		key.WriteString(strconv.Itoa(r))
 	}
-	return &Comm{w: c.w, rank: me, members: world, key: key.String()}
+	return &Comm{w: c.w, rank: me, members: world, key: key.String(), tr: c.tr}
 }
 
 // Rank returns this PE's id in [0, Size) within the communicator.
@@ -319,6 +332,15 @@ func (c *Comm) recvScalar(src int) float64 {
 // vs the sequential baseline holds within the reassociation tolerance
 // (§4.5.2).
 func (c *Comm) AllReduceSum(t *tensor.Tensor) *tensor.Tensor {
+	// The inner Begin opens the span now; the deferred one restores
+	// the caller's phase on the way out.
+	defer c.tr.Begin(c.tr.Begin(trace.CollectiveWait))
+	return c.allReduceSum(t)
+}
+
+// allReduceSum is AllReduceSum without the trace span, for callers that
+// attribute the traffic to their own phase.
+func (c *Comm) allReduceSum(t *tensor.Tensor) *tensor.Tensor {
 	p := c.Size()
 	if p == 1 {
 		return t
@@ -491,6 +513,12 @@ func (c *Comm) treeHalfAllReduce(buf []float64, parents []int) {
 // exchanging bare scalars — no tensor allocation on any PE. The
 // association order is the tree's, identical for every run.
 func (c *Comm) AllReduceScalar(v float64) float64 {
+	defer c.tr.Begin(c.tr.Begin(trace.CollectiveWait))
+	return c.allReduceScalar(v)
+}
+
+// allReduceScalar is AllReduceScalar without the trace span.
+func (c *Comm) allReduceScalar(v float64) float64 {
 	p := c.Size()
 	if p == 1 {
 		return v
@@ -528,6 +556,7 @@ reduce:
 // with — at (p−1) chunk hops per PE. Takes ownership of t; a singleton
 // communicator returns t itself.
 func (c *Comm) ReduceScatterSum(t *tensor.Tensor, axis int) *tensor.Tensor {
+	defer c.tr.Begin(c.tr.Begin(trace.CollectiveWait))
 	p := c.Size()
 	if p == 1 {
 		return t
@@ -580,6 +609,12 @@ func addFromRegion(dst, src *tensor.Tensor, axis, start int) {
 // concatenation is freshly allocated. A singleton communicator returns
 // t itself, so the degenerate grid edges (p1=1 or p2=1) pay no copy.
 func (c *Comm) AllGather(t *tensor.Tensor, axis int) *tensor.Tensor {
+	defer c.tr.Begin(c.tr.Begin(trace.CollectiveWait))
+	return c.allGather(t, axis)
+}
+
+// allGather is AllGather without the trace span.
+func (c *Comm) allGather(t *tensor.Tensor, axis int) *tensor.Tensor {
 	p := c.Size()
 	if p == 1 {
 		return t

@@ -37,8 +37,21 @@
 //	df / ds / dp  — §3.6 hybrids: p1 model-parallel groups × segmented exchange
 //
 // Plans round-trip through strings ("ds:4x2" ⇄ ParsePlan/String), so
-// the advisor and the CLI can select strategies as runtime values. The
-// per-strategy Run* functions survive as deprecated shims over Run.
+// the advisor and the CLI can select strategies as runtime values.
+//
+// Every engine runs as a p1×p2 grid (serial is 1×1, channel 1×p)
+// through one driver, runGrid. An engine validates its plan, sets up
+// each PE (shards, velocities, gradient exchangers), and hands the
+// driver two calls: step, one iteration on the PE's batch shard
+// returning the global loss, and snapshot, the canonical state at a
+// checkpoint boundary. The driver owns the rest of the iteration: trace
+// marks and the idle span, fault and straggle injection, the hook and
+// loss series, checkpoint cadence and emission, and the checkpoint
+// barrier, whose checkpoint-put span also covers the state gathers.
+// Communication attributes itself on the trace: the blocking
+// collectives of Comm open a collective-wait span and the exchange
+// helpers (halo, sync-BN, pipeline transfer) their own phase, so step
+// code opens only compute spans.
 package dist
 
 import (
@@ -48,8 +61,8 @@ import (
 	"sync"
 	"time"
 
-	"paradl/internal/core"
 	"paradl/internal/nn"
+	"paradl/internal/strategy"
 	"paradl/internal/tensor"
 	"paradl/internal/trace"
 )
@@ -89,76 +102,31 @@ type Result struct {
 	Losses   []float64
 }
 
-// RunSequential trains a fresh replica (deterministically initialized
-// from seed) with plain SGD, one iteration per batch. It is the ground
-// truth every partitioned run is validated against. It panics on models
-// whose layer list does not compile to an executable graph and on
-// malformed batches; the Run* strategy variants return the same
-// conditions as errors.
-//
-// Deprecated: use Run with Plan{Strategy: core.Serial} (paradl.Train),
-// which reports those conditions as errors instead of panicking.
-func RunSequential(m *nn.Model, seed int64, batches []Batch, lr float64) *Result {
-	res, err := Run(m, batches, Plan{Strategy: core.Serial}, WithSeed(seed), WithLR(lr))
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
 // runSequential is the serial engine behind the registry: single-PE
-// training, one optimizer step per batch.
+// training, one optimizer step per batch — the 1×1 grid.
 func runSequential(m *nn.Model, batches []Batch, cfg *runConfig) (*Result, error) {
 	if err := checkBatches(m, batches); err != nil {
 		return nil, err
 	}
-	net, err := cfg.replica(m)
-	if err != nil {
-		return nil, err
-	}
-	step := newStepper(cfg)
-	seedFullVelocities(cfg, step.mom, net)
-	losses := make([]float64, 0, len(batches))
-	tr := cfg.tracer(0)
-	var runErr error
-	func() {
-		defer tr.End()
-		defer func() {
-			if rec := recover(); rec != nil {
-				var pf *PEFailure
-				if err, ok := rec.(error); ok && errors.As(err, &pf) {
-					runErr = err // the single PE IS the world: no peers to abort
-					return
-				}
-				panic(rec)
-			}
-		}()
-		for i := range batches {
-			tr.Iter(cfg.startIter + i)
-			tr.Begin(trace.Idle)
-			cfg.maybeFail(0, i)
-			// The explicit forward/loss/backward/step composition is
-			// TrainStep(With) verbatim (see nn/exec.go), split so each
-			// phase lands on its own span.
-			tr.Begin(trace.ComputeForward)
-			logits, states := net.Forward(batches[i].X)
-			loss, dLogits := tensor.SoftmaxCrossEntropy(logits, batches[i].Labels)
-			tr.Begin(trace.ComputeBackward)
-			_, grads := net.Backward(dLogits, states)
-			step.stepNet(net, grads)
-			losses = append(losses, loss)
-			cfg.fire(i, loss)
-			if cfg.snapshotDue(i) {
-				tr.Begin(trace.CheckpointPut)
-				params, vel := cloneNetState(net, step.mom)
-				cfg.emit(m.Name, i, losses, params, vel)
-			}
-		}
-	}()
-	if runErr != nil {
-		return nil, runErr
-	}
-	return &Result{Strategy: "sequential", P: 1, P1: 1, P2: 1, Losses: losses}, nil
+	return runGrid(m, batches, cfg, "sequential", 1, 1, 0, func(world, _, _ *Comm, net *nn.Network, opt *stepper) (engine, error) {
+		seedFullVelocities(cfg, opt.mom, net)
+		tr := world.tr
+		return engine{
+			step: func(x *tensor.Tensor, labels []int, _ float64) float64 {
+				// The explicit forward/loss/backward/step composition is
+				// TrainStep(With) verbatim (see nn/exec.go), split so each
+				// phase lands on its own span.
+				tr.Begin(trace.ComputeForward)
+				logits, states := net.Forward(x)
+				loss, dLogits := tensor.SoftmaxCrossEntropy(logits, labels)
+				tr.Begin(trace.ComputeBackward)
+				_, grads := net.Backward(dLogits, states)
+				opt.stepNet(net, grads)
+				return loss
+			},
+			snapshot: func() (params, vel []nn.Params) { return cloneNetState(net, opt.mom) },
+		}, nil
+	})
 }
 
 // newReplica instantiates the model with parameters drawn from seed.
@@ -182,6 +150,89 @@ func (c *runConfig) replica(m *nn.Model) (*nn.Network, error) {
 		}
 	}
 	return net, nil
+}
+
+// engine is one PE's strategy-specific half of a training iteration,
+// built by an engine's setup once the PE holds its shards. step trains
+// on this PE's group shard of one batch — x and labels, weighted n_g/B
+// in the global loss — and returns the iteration's global loss, which
+// the driver reads on the result rank only. snapshot returns the
+// canonical training state at a checkpoint boundary; every PE calls it
+// (gathering a sharded state is collective) and only the result rank's
+// state is emitted.
+type engine struct {
+	step     func(x *tensor.Tensor, labels []int, weight float64) float64
+	snapshot func() (params, vel []nn.Params)
+}
+
+// runGrid spawns the p1×p2 grid (see hybrid.go) and drives every PE
+// through the runtime's one iteration loop. World rank g·p2+k is PE k
+// of group g, so group.Rank() = k and seg.Rank() = g; the pure
+// strategies and the serial baseline are degenerate grids. Each PE gets
+// its tracer, its three communicators, a fresh (or restored) full
+// replica, and its optimizer, and setup builds its engine from them.
+// resultRank selects the world rank whose losses the run reports and
+// whose snapshots reach the sink: 0, or group 0's last stage for the
+// pipeline grid.
+//
+// The loop is the iteration shell every engine shares: per iteration
+// it marks the trace, runs the idle span through fault and straggle
+// injection, slices group g's batch shard, runs the engine's step,
+// records the loss and fires the hook on the result rank, and on
+// checkpoint boundaries gathers, emits, and holds the checkpoint
+// barrier.
+func runGrid(m *nn.Model, batches []Batch, cfg *runConfig, label string, p1, p2, resultRank int,
+	setup func(world, group, seg *Comm, net *nn.Network, opt *stepper) (engine, error)) (*Result, error) {
+	groups, segments, err := strategy.HybridGroups(p1, p2)
+	if err != nil {
+		return nil, err
+	}
+	losses, err := runWorld(p1*p2, resultRank, func(world *Comm) ([]float64, error) {
+		tr := cfg.trace.PE(world.Rank())
+		world.tr = tr
+		net, err := cfg.replica(m)
+		if err != nil {
+			return nil, err
+		}
+		g, k := world.Rank()/p2, world.Rank()%p2
+		e, err := setup(world, world.Sub(groups[g]), world.Sub(segments[k]), net, newStepper(cfg))
+		if err != nil {
+			return nil, err
+		}
+		defer tr.End()
+		owner := world.Rank() == resultRank
+		losses := make([]float64, 0, len(batches))
+		for bi := range batches {
+			tr.Iter(cfg.startIter + bi)
+			tr.Begin(trace.Idle)
+			cfg.maybeFail(world.Rank(), bi)
+			x, labels, weight := groupShard(&batches[bi], g, p1)
+			loss := e.step(x, labels, weight)
+			if owner {
+				losses = append(losses, loss)
+				if cfg.hook != nil {
+					cfg.hook(cfg.startIter+bi, loss) // the hook sees the global iteration
+				}
+			}
+			if cfg.snapshotDue(bi) {
+				tr.Begin(trace.CheckpointPut)
+				params, vel := e.snapshot()
+				if owner {
+					cfg.emit(m.Name, bi, losses, params, vel)
+				}
+				// Checkpoint barrier: no PE may start the next iteration
+				// until the snapshot is durable, or a failure injected
+				// just past the boundary could abort the world mid-gather
+				// and lose the checkpoint recovery should resume from.
+				world.allReduceScalar(0)
+			}
+		}
+		return losses, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Strategy: label, P: p1 * p2, P1: p1, P2: p2, Losses: losses}, nil
 }
 
 // runWorld spawns one goroutine per PE, runs body on each, and returns

@@ -154,11 +154,11 @@ func gatherFilterState(group *Comm, net *nn.Network, shards []*weightShard, mom 
 	}
 	for l := range net.Params {
 		if sh := shards[l]; sh != nil {
-			params[l].W = group.AllGather(sh.w.Clone(), 0)
-			params[l].B = group.AllGather(sh.b.Clone(), 0)
+			params[l].W = group.allGather(sh.w.Clone(), 0)
+			params[l].B = group.allGather(sh.b.Clone(), 0)
 			if mom != nil {
-				vel[l].W = group.AllGather(velClone(mom, sh.w), 0)
-				vel[l].B = group.AllGather(velClone(mom, sh.b), 0)
+				vel[l].W = group.allGather(velClone(mom, sh.w), 0)
+				vel[l].B = group.allGather(velClone(mom, sh.b), 0)
 			}
 			continue
 		}
@@ -228,10 +228,10 @@ func gatherChannelState(c *Comm, net *nn.Network, shards []*weightShard, mom *nn
 	}
 	for l := range net.Params {
 		if sh := shards[l]; sh != nil {
-			params[l].W = c.AllGather(sh.w.Clone(), 1)
+			params[l].W = c.allGather(sh.w.Clone(), 1)
 			params[l].B = net.Params[l].B.Clone()
 			if mom != nil {
-				vel[l].W = c.AllGather(velClone(mom, sh.w), 1)
+				vel[l].W = c.allGather(velClone(mom, sh.w), 1)
 				vel[l].B = velClone(mom, net.Params[l].B)
 			}
 			continue

@@ -124,7 +124,7 @@ func TestElasticRecoveryParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			batches := toyBatches(t, m, 4, 8)
-			seq := dist.RunSequential(m, seed, batches, lr)
+			seq := sequential(t, m, batches)
 			res, err := dist.RunElastic(m, batches, mustPlan(t, tc.plan),
 				dist.Policy{CkptEvery: 1, MaxRetries: 3, CkptDir: t.TempDir()},
 				dist.WithSeed(seed), dist.WithLR(lr), dist.WithFailAt(3, 2))

@@ -3,7 +3,6 @@ package dist
 import (
 	"fmt"
 
-	"paradl/internal/core"
 	"paradl/internal/nn"
 	"paradl/internal/strategy"
 	"paradl/internal/tensor"
@@ -19,23 +18,8 @@ import (
 // p2 = 1 (groups of one, the segment spans the world), filter and
 // spatial are p1 = 1 (one group spanning the world, singleton
 // segments) — and share the grid step implementations so the pure and
-// hybrid choreographies cannot drift.
-
-// runGrid spawns the p1×p2 grid and hands every PE its world, group,
-// and segment communicator. World rank g·p2+k is PE k of group g, so
-// group.Rank() = k and seg.Rank() = g. resultRank selects the world
-// rank whose per-iteration losses the run reports (0 for the
-// filter/spatial grids, group 0's last stage for the pipeline grid).
-func runGrid(p1, p2, resultRank int, body func(world, group, seg *Comm) ([]float64, error)) ([]float64, error) {
-	groups, segments, err := strategy.HybridGroups(p1, p2)
-	if err != nil {
-		return nil, err
-	}
-	return runWorld(p1*p2, resultRank, func(c *Comm) ([]float64, error) {
-		g, k := c.Rank()/p2, c.Rank()%p2
-		return body(c, c.Sub(groups[g]), c.Sub(segments[k]))
-	})
-}
+// hybrid choreographies cannot drift. runGrid (dist.go) spawns the grid
+// and drives its iteration loop.
 
 // groupShard slices group g's contiguous shard out of a batch and
 // returns it with its loss weight n_g/B. Shard sizes come from
@@ -72,46 +56,4 @@ func checkGrid(m *nn.Model, batches []Batch, p1, p2 int, label string) error {
 		}
 	}
 	return nil
-}
-
-// RunDataFilter executes the df hybrid (§3.6): filter parallelism of
-// width p2 inside each of p1 data-parallel groups. Each group trains on
-// its batch shard with every weighted layer's output channels sharded
-// across the group; the segmented cross-group allreduce then sums each
-// PE's weight-shard gradient over the groups into the global mean
-// gradient. Batch norm is synchronized across segments (one PE per
-// group covers the global batch exactly once), so runs match the
-// sequential baseline even on BN models.
-//
-// Deprecated: use Run with Plan{Strategy: core.DataFilter, P1: p1, P2: p2}.
-func RunDataFilter(m *nn.Model, seed int64, batches []Batch, lr float64, p1, p2 int) (*Result, error) {
-	return Run(m, batches, Plan{Strategy: core.DataFilter, P1: p1, P2: p2}, WithSeed(seed), WithLR(lr))
-}
-
-// RunDataSpatial executes the ds hybrid (§3.6): spatial parallelism of
-// width p2 inside each of p1 data-parallel groups — the paper's
-// CosmoFlow configuration (one sample per node, spatial within the
-// node, Fig. 5). Trunk convolution gradients are partial over each
-// (group, slab) pair and allreduce across the whole world; the
-// replicated classifier head's gradients allreduce across segments;
-// trunk batch norm is synchronized world-wide.
-//
-// Deprecated: use Run with Plan{Strategy: core.DataSpatial, P1: p1, P2: p2}.
-func RunDataSpatial(m *nn.Model, seed int64, batches []Batch, lr float64, p1, p2 int) (*Result, error) {
-	return Run(m, batches, Plan{Strategy: core.DataSpatial, P1: p1, P2: p2}, WithSeed(seed), WithLR(lr))
-}
-
-// RunDataPipeline executes the dp hybrid per the §3.6 grid recipe:
-// GPipe pipeline parallelism of depth p2 inside each of p1
-// data-parallel groups, with segmented cross-group gradient exchange —
-// stage k of every group holds the same layers, so segment k's
-// allreduce sums the per-group stage gradients into the global mean
-// gradient. Batch-norm statistics are per-microbatch per-group (the
-// GPipe semantics), so value parity vs the sequential baseline holds
-// for BN-free models, like pure pipeline parallelism.
-//
-// Deprecated: use Run with Plan{Strategy: core.DataPipeline, P1: p1, P2: p2};
-// this wrapper exists only for symmetry with the other grid shims.
-func RunDataPipeline(m *nn.Model, seed int64, batches []Batch, lr float64, p1, p2 int) (*Result, error) {
-	return Run(m, batches, Plan{Strategy: core.DataPipeline, P1: p1, P2: p2}, WithSeed(seed), WithLR(lr))
 }

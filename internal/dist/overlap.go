@@ -34,7 +34,6 @@ type gradExchanger struct {
 	queued      []*tensor.Tensor
 	queuedBytes int
 	flights     []flight
-	tr          *trace.PE // this PE's tracer; nil when tracing is off
 }
 
 // flight is one launched bucket: the flat buffer in the collective (or
@@ -58,7 +57,7 @@ func newGradExchanger(c *Comm, cfg *runConfig) *gradExchanger {
 	if bb < 1 {
 		bb = 1 // flush every tensor by itself
 	}
-	return &gradExchanger{c: c, overlap: cfg.overlap, bucketBytes: bb, tr: cfg.tracer(c.WorldRank())}
+	return &gradExchanger{c: c, overlap: cfg.overlap, bucketBytes: bb}
 }
 
 // push queues gradient tensors for exchange, flushing the bucket
@@ -104,7 +103,7 @@ func (ex *gradExchanger) flush(async bool) {
 	if async {
 		ph = trace.CollectiveLaunch
 	}
-	prev := ex.tr.Begin(ph)
+	prev := ex.c.tr.Begin(ph)
 	ts := ex.queued
 	ex.queued = nil
 	n := ex.queuedBytes / 8
@@ -121,12 +120,12 @@ func (ex *gradExchanger) flush(async bool) {
 	fl := flight{ts: ts, tok: -1}
 	if async {
 		fl.h = ex.c.IAllReduceSum(flat)
-		fl.tok = ex.tr.Flight()
+		fl.tok = ex.c.tr.Flight()
 	} else {
-		fl.flat = ex.c.AllReduceSum(flat)
+		fl.flat = ex.c.allReduceSum(flat)
 	}
 	ex.flights = append(ex.flights, fl)
-	ex.tr.Begin(prev)
+	ex.c.tr.Begin(prev)
 }
 
 // drain flushes the tail bucket — blocking: at the pre-step barrier
@@ -135,12 +134,12 @@ func (ex *gradExchanger) flush(async bool) {
 // unpacks each reduced bucket back into its gradient tensors.
 func (ex *gradExchanger) drain() {
 	ex.flush(false)
-	prev := ex.tr.Begin(trace.CollectiveWait)
+	prev := ex.c.tr.Begin(trace.CollectiveWait)
 	for _, fl := range ex.flights {
 		res := fl.flat
 		if fl.h != nil {
 			res = fl.h.Wait()
-			ex.tr.Land(fl.tok)
+			ex.c.tr.Land(fl.tok)
 		}
 		if len(fl.ts) == 1 {
 			if res != fl.ts[0] {
@@ -157,5 +156,5 @@ func (ex *gradExchanger) drain() {
 		}
 	}
 	ex.flights = ex.flights[:0]
-	ex.tr.Begin(prev)
+	ex.c.tr.Begin(prev)
 }

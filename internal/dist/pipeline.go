@@ -11,27 +11,6 @@ import (
 	"paradl/internal/trace"
 )
 
-// RunPipeline executes layer/pipeline parallelism (§3.3): the network is
-// cut into p contiguous stages, each owned exclusively by one PE, and a
-// batch flows through as microbatches GPipe-style — all microbatches
-// forward, then a backward flush in reverse order, then one local SGD
-// step per stage. Activations and activation gradients are the only
-// traffic, point-to-point between neighbouring stages; weights are never
-// exchanged because no two PEs share a layer.
-//
-// Microbatch gradients are scaled by n_mb/B before the backward pass, so
-// their sum is exactly the full-batch mean gradient. Per-iteration
-// losses therefore match the sequential baseline up to summation
-// reassociation for models without batch norm; BN statistics are
-// per-microbatch (the GPipe semantics), which is a genuine semantic
-// deviation the correctness harness documents rather than hides. It is
-// the p1=1 edge of the data×pipeline grid.
-//
-// Deprecated: use Run with Plan{Strategy: core.Pipeline, P2: p}.
-func RunPipeline(m *nn.Model, seed int64, batches []Batch, lr float64, p int) (*Result, error) {
-	return Run(m, batches, Plan{Strategy: core.Pipeline, P2: p}, WithSeed(seed), WithLR(lr))
-}
-
 // runDataPipeline is the shared engine behind the pipeline (p1=1) and
 // data+pipeline registry entries — the §3.6 grid recipe applied to
 // GPipe stages: each of p1 data-parallel groups pipelines its own batch
@@ -40,7 +19,10 @@ func RunPipeline(m *nn.Model, seed int64, batches []Batch, lr float64, p int) (*
 // data-parallel gradient exchange. Per-microbatch gradients are
 // pre-scaled by n_mb/B (the GLOBAL batch), so each stage's accumulated
 // gradient is exactly its group's contribution to the full-batch mean
-// gradient and the segment exchange is a plain sum.
+// gradient and the segment exchange is a plain sum. Batch-norm
+// statistics are per-microbatch (the GPipe semantics), a genuine
+// deviation from the sequential baseline on BN models that the
+// correctness harness documents rather than hides.
 func runDataPipeline(m *nn.Model, batches []Batch, cfg *runConfig, p1, p2 int, label string) (*Result, error) {
 	g := m.G()
 	if p2 < 1 || p2 > g {
@@ -59,57 +41,25 @@ func runDataPipeline(m *nn.Model, batches []Batch, cfg *runConfig, p1, p2 int, l
 	}
 	stages := strategy.ContiguousStages(bounds)
 	resultRank := p2 - 1 // group 0's last stage: the first PE to own a global loss
-	losses, err := runGrid(p1, p2, resultRank, func(world, group, seg *Comm) ([]float64, error) {
-		net, err := cfg.replica(m)
-		if err != nil {
-			return nil, err
-		}
-		step := newStepper(cfg)
-		seedStageVelocities(cfg, step.mom, net, stages[group.Rank()])
-		ex := newGradExchanger(seg, cfg)
+	return runGrid(m, batches, cfg, label, p1, p2, resultRank, func(world, group, seg *Comm, net *nn.Network, opt *stepper) (engine, error) {
 		st := stages[group.Rank()]
-		lastStage := group.Rank() == group.Size()-1
-		tr := cfg.tracer(world.Rank())
-		out := make([]float64, 0, len(batches))
-		for bi := range batches {
-			tr.Iter(cfg.startIter + bi)
-			tr.Begin(trace.Idle)
-			cfg.maybeFail(world.Rank(), bi)
-			x, labels, weight := groupShard(&batches[bi], seg.Rank(), p1)
-			loss := dataPipelineStep(group, seg, ex, net, st, x, labels, weight, step, tr)
-			if lastStage {
-				// The last-stage segment sums the per-group weighted
-				// losses into the global mean loss.
-				tr.Begin(trace.CollectiveWait)
-				loss = seg.AllReduceScalar(loss)
-				tr.Begin(trace.ComputeBackward)
-				out = append(out, loss)
-				if world.Rank() == resultRank {
-					cfg.fire(bi, loss)
+		seedStageVelocities(cfg, opt.mom, net, st)
+		ex := newGradExchanger(seg, cfg)
+		return engine{
+			step: func(x *tensor.Tensor, labels []int, weight float64) float64 {
+				return dataPipelineStep(group, seg, ex, net, st, x, labels, weight, opt)
+			},
+			snapshot: func() (params, vel []nn.Params) {
+				if seg.Rank() != 0 {
+					return nil, nil
 				}
-			}
-			if cfg.snapshotDue(bi) {
-				tr.Begin(trace.CheckpointPut)
-				if seg.Rank() == 0 {
-					// Group 0 (the groups are bit-identical replicas) streams
-					// every stage's owned layers to its last stage — the
-					// result rank, which also owns the loss series.
-					params, vel := gatherPipelineState(group, net, stages, step.mom)
-					if world.Rank() == resultRank {
-						cfg.emit(m.Name, bi, out, params, vel)
-					}
-				}
-				// Checkpoint barrier — see runDataFilter.
-				world.AllReduceScalar(0)
-			}
-		}
-		tr.End()
-		return out, nil
+				// Group 0 (the groups are bit-identical replicas) streams
+				// every stage's owned layers to its last stage — the
+				// result rank, which also owns the loss series.
+				return gatherPipelineState(group, net, stages, opt.mom)
+			},
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Strategy: label, P: p1 * p2, P1: p1, P2: p2, Losses: losses}, nil
 }
 
 // balanceStages splits the G layers into p contiguous groups via the
@@ -195,12 +145,13 @@ func abs(x int) int {
 // dataPipelineStep pushes this group's batch shard x (weighted n_g/B in
 // the global loss) through the group's pipeline as microbatches,
 // exchanges the accumulated stage gradients across the segment, and
-// applies this stage's optimizer step. It returns the group's weighted
-// shard loss on the last stage (0 elsewhere). The stage-gradient
+// applies this stage's optimizer step. It returns the global mean loss
+// on the last stage (0 elsewhere). The stage-gradient
 // exchange is bucketed (ex): a layer's accumulated gradient is final
 // once the LAST microbatch's backward has passed it, so it enters the
 // segment exchange right there, overlapping the rest of the flush.
-func dataPipelineStep(c, seg *Comm, ex *gradExchanger, net *nn.Network, st strategy.PipelineStage, x *tensor.Tensor, labels []int, weight float64, step *stepper, tr *trace.PE) float64 {
+func dataPipelineStep(c, seg *Comm, ex *gradExchanger, net *nn.Network, st strategy.PipelineStage, x *tensor.Tensor, labels []int, weight float64, step *stepper) float64 {
+	tr := c.tr
 	rank, p := c.Rank(), c.Size()
 	total := x.Dim(0)
 	nm := min(p, total)
@@ -220,11 +171,7 @@ func dataPipelineStep(c, seg *Comm, ex *gradExchanger, net *nn.Network, st strat
 		if rank == 0 {
 			xin = x.Narrow(0, offs[mb], sizes[mb])
 		} else {
-			// Blocked on the upstream stage: bubble time on the trace
-			// until the activation arrives.
-			tr.Begin(trace.PipelineTransfer)
-			xin = c.Recv(rank - 1)
-			tr.Begin(trace.ComputeForward)
+			xin = stageRecv(c, rank-1)
 		}
 		states[mb] = make([]*nn.LayerState, st.End-st.Start)
 		out := gph.ForwardRange(st.Start, st.End, xin, func(l int, x2 *tensor.Tensor) *tensor.Tensor {
@@ -235,9 +182,7 @@ func dataPipelineStep(c, seg *Comm, ex *gradExchanger, net *nn.Network, st strat
 		if rank < p-1 {
 			// The stage output is dead here (states keep layer inputs,
 			// not outputs), so ownership transfers without a copy.
-			tr.Begin(trace.PipelineTransfer)
-			c.sendOwned(rank+1, out)
-			tr.Begin(trace.ComputeForward)
+			stageSend(c, rank+1, out)
 		} else {
 			logits[mb] = out
 		}
@@ -258,9 +203,7 @@ func dataPipelineStep(c, seg *Comm, ex *gradExchanger, net *nn.Network, st strat
 			dl.Scale(mbWeight)
 			dy = dl
 		} else {
-			tr.Begin(trace.PipelineTransfer)
-			dy = c.Recv(rank + 1)
-			tr.Begin(trace.ComputeBackward)
+			dy = stageRecv(c, rank+1)
 		}
 		dy = gph.BackwardRange(st.Start, st.End, dy, func(l int, d *tensor.Tensor) *tensor.Tensor {
 			dx, g := net.BackwardLayer(l, d, states[mb][l-st.Start])
@@ -274,9 +217,7 @@ func dataPipelineStep(c, seg *Comm, ex *gradExchanger, net *nn.Network, st strat
 			return dx
 		})
 		if rank > 0 {
-			tr.Begin(trace.PipelineTransfer)
-			c.sendOwned(rank-1, dy)
-			tr.Begin(trace.ComputeBackward)
+			stageSend(c, rank-1, dy)
 		}
 	}
 
@@ -294,5 +235,25 @@ func dataPipelineStep(c, seg *Comm, ex *gradExchanger, net *nn.Network, st strat
 	grads := make([]nn.Grads, net.Model.G())
 	copy(grads[st.Start:st.End], acc)
 	step.stepNet(net, grads)
+	if rank == p-1 {
+		// The last-stage segment sums the per-group weighted losses
+		// into the global mean loss.
+		loss = seg.AllReduceScalar(loss)
+	}
 	return loss
+}
+
+// stageRecv receives a stage-boundary activation or gradient from
+// neighbouring stage src. A downstream stage blocks here until the
+// upstream one delivers — bubble time, attributed to the
+// pipeline-transfer phase like the sends.
+func stageRecv(c *Comm, src int) *tensor.Tensor {
+	defer c.tr.Begin(c.tr.Begin(trace.PipelineTransfer))
+	return c.Recv(src)
+}
+
+// stageSend hands t to neighbouring stage dst, transferring ownership.
+func stageSend(c *Comm, dst int, t *tensor.Tensor) {
+	defer c.tr.Begin(c.tr.Begin(trace.PipelineTransfer))
+	c.sendOwned(dst, t)
 }

@@ -6,7 +6,6 @@
 package dist_test
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -119,92 +118,13 @@ func TestParsePlanRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestShimRegistryDelegation: every deprecated Run* shim must reach its
-// strategy's registry entry — swapping the entry for a stub must be
-// observable through the shim (the "single dispatch path" criterion).
-func TestShimRegistryDelegation(t *testing.T) {
-	m := model.Tiny3D()
-	batches := toyBatches(t, m, 1, 4)
-	type shim struct {
-		s    core.Strategy
-		call func() (*dist.Result, error)
-	}
-	shims := []shim{
-		{core.Serial, func() (*dist.Result, error) { return dist.RunSequential(m, seed, batches, lr), nil }},
-		{core.Data, func() (*dist.Result, error) { return dist.RunData(m, seed, batches, lr, 2) }},
-		{core.Spatial, func() (*dist.Result, error) { return dist.RunSpatial(m, seed, batches, lr, 2) }},
-		{core.Filter, func() (*dist.Result, error) { return dist.RunFilter(m, seed, batches, lr, 2) }},
-		{core.Channel, func() (*dist.Result, error) { return dist.RunChannel(m, seed, batches, lr, 2) }},
-		{core.Pipeline, func() (*dist.Result, error) { return dist.RunPipeline(m, seed, batches, lr, 2) }},
-		{core.DataFilter, func() (*dist.Result, error) { return dist.RunDataFilter(m, seed, batches, lr, 2, 2) }},
-		{core.DataSpatial, func() (*dist.Result, error) { return dist.RunDataSpatial(m, seed, batches, lr, 2, 2) }},
-		{core.DataPipeline, func() (*dist.Result, error) { return dist.RunDataPipeline(m, seed, batches, lr, 2, 2) }},
-	}
-	for _, sh := range shims {
-		sentinel := fmt.Sprintf("stub:%v", sh.s)
-		restore := dist.SetRunnerForTest(sh.s, func(_ *nn.Model, _ []dist.Batch, pl dist.Plan) (*dist.Result, error) {
-			return &dist.Result{Strategy: sentinel, P: pl.P()}, nil
-		})
-		got, err := sh.call()
-		restore()
-		if err != nil {
-			t.Fatalf("%v shim: %v", sh.s, err)
-		}
-		if got.Strategy != sentinel {
-			t.Fatalf("%v shim bypassed the registry: got %q, want %q", sh.s, got.Strategy, sentinel)
-		}
-	}
-}
-
-// TestShimsMatchPlanRunBitForBit: each deprecated shim and the
-// equivalent Run(plan) call are the same computation — identical loss
-// bits, not merely within tolerance.
-func TestShimsMatchPlanRunBitForBit(t *testing.T) {
-	m := model.Tiny3D()
-	batches := toyBatches(t, m, 3, 4)
-	opts := []dist.Option{dist.WithSeed(seed), dist.WithLR(lr)}
-	type pair struct {
-		name string
-		plan dist.Plan
-		shim func() (*dist.Result, error)
-	}
-	for _, pr := range []pair{
-		{"sequential", dist.Plan{Strategy: core.Serial}, func() (*dist.Result, error) { return dist.RunSequential(m, seed, batches, lr), nil }},
-		{"data", dist.Plan{Strategy: core.Data, P1: 3}, func() (*dist.Result, error) { return dist.RunData(m, seed, batches, lr, 3) }},
-		{"spatial", dist.Plan{Strategy: core.Spatial, P2: 2}, func() (*dist.Result, error) { return dist.RunSpatial(m, seed, batches, lr, 2) }},
-		{"filter", dist.Plan{Strategy: core.Filter, P2: 3}, func() (*dist.Result, error) { return dist.RunFilter(m, seed, batches, lr, 3) }},
-		{"channel", dist.Plan{Strategy: core.Channel, P2: 2}, func() (*dist.Result, error) { return dist.RunChannel(m, seed, batches, lr, 2) }},
-		{"pipeline", dist.Plan{Strategy: core.Pipeline, P2: 3}, func() (*dist.Result, error) { return dist.RunPipeline(m, seed, batches, lr, 3) }},
-		{"df", dist.Plan{Strategy: core.DataFilter, P1: 2, P2: 2}, func() (*dist.Result, error) { return dist.RunDataFilter(m, seed, batches, lr, 2, 2) }},
-		{"ds", dist.Plan{Strategy: core.DataSpatial, P1: 2, P2: 2}, func() (*dist.Result, error) { return dist.RunDataSpatial(m, seed, batches, lr, 2, 2) }},
-		{"dp", dist.Plan{Strategy: core.DataPipeline, P1: 2, P2: 2}, func() (*dist.Result, error) { return dist.RunDataPipeline(m, seed, batches, lr, 2, 2) }},
-	} {
-		want, err := dist.Run(m, batches, pr.plan, opts...)
-		if err != nil {
-			t.Fatalf("%s: Run: %v", pr.name, err)
-		}
-		got, err := pr.shim()
-		if err != nil {
-			t.Fatalf("%s: shim: %v", pr.name, err)
-		}
-		if len(got.Losses) != len(want.Losses) {
-			t.Fatalf("%s: %d losses vs %d", pr.name, len(got.Losses), len(want.Losses))
-		}
-		for i := range want.Losses {
-			if got.Losses[i] != want.Losses[i] {
-				t.Fatalf("%s iter %d: shim %.17g != Run %.17g", pr.name, i, got.Losses[i], want.Losses[i])
-			}
-		}
-	}
-}
-
 // TestDataPipelineParity is the dp acceptance criterion: GPipe stage
 // groups under segmented gradient exchange reproduce sequential SGD at
 // ≤1e-6 on the tiny zoo for p1×p2 ∈ {2×2, 2×3}.
 func TestDataPipelineParity(t *testing.T) {
 	for _, m := range []*nn.Model{model.TinyCNNNoBN(), model.Tiny3D()} {
 		batches := toyBatches(t, m, 4, 4)
-		seq := dist.RunSequential(m, seed, batches, lr)
+		seq := sequential(t, m, batches)
 		for _, grid := range [][2]int{{2, 2}, {2, 3}} {
 			pl := dist.Plan{Strategy: core.DataPipeline, P1: grid[0], P2: grid[1]}
 			got, err := dist.Run(m, batches, pl, dist.WithSeed(seed), dist.WithLR(lr))
@@ -222,7 +142,7 @@ func TestDataPipelineParity(t *testing.T) {
 func TestDataPipelineUnevenParity(t *testing.T) {
 	m := model.Tiny3D()
 	batches := toyBatches(t, m, 3, 5)
-	seq := dist.RunSequential(m, seed, batches, lr)
+	seq := sequential(t, m, batches)
 	got, err := dist.Run(m, batches, dist.Plan{Strategy: core.DataPipeline, P1: 2, P2: 3},
 		dist.WithSeed(seed), dist.WithLR(lr))
 	assertParity(t, seq, got, err)
@@ -233,7 +153,7 @@ func TestDataPipelineUnevenParity(t *testing.T) {
 func TestDataPipelineDegenerateEdge(t *testing.T) {
 	m := model.Tiny3D()
 	batches := toyBatches(t, m, 3, 4)
-	pure, err := dist.RunPipeline(m, seed, batches, lr, 3)
+	pure, err := train(m, batches, dist.Plan{Strategy: core.Pipeline, P2: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +199,7 @@ func TestFootnote2ReduceScatterParity(t *testing.T) {
 		{"df:2x2", dist.Plan{Strategy: core.DataFilter, P1: 2, P2: 2}},
 	} {
 		batches := toyBatches(t, m, 3, 4)
-		seq := dist.RunSequential(m, seed, batches, lr)
+		seq := sequential(t, m, batches)
 		rs, err := dist.Run(m, batches, tc.pl, dist.WithSeed(seed), dist.WithLR(lr))
 		assertParity(t, seq, rs, err)
 		ar, err := dist.Run(m, batches, tc.pl, dist.WithSeed(seed), dist.WithLR(lr),
@@ -314,7 +234,7 @@ func TestMomentumParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := dist.RunSequential(m, seed, batches, lr)
+	plain := sequential(t, m, batches)
 	same := true
 	for i := range seq.Losses {
 		if seq.Losses[i] != plain.Losses[i] {

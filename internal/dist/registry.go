@@ -12,9 +12,8 @@ import (
 )
 
 // runConfig carries every knob of one training run. It is assembled
-// only by Run from the functional options below; the deprecated Run*
-// shims translate their positional arguments into options and delegate
-// to Run, so every entry path feeds the engines identically.
+// only by Run from the functional options below, so every entry path
+// feeds the engines identically.
 type runConfig struct {
 	seed     int64
 	lr       float64
@@ -197,26 +196,12 @@ func WithInitState(st *ckpt.State) Option {
 	}
 }
 
-// fire invokes the per-iteration hook if one is registered. iter is the
-// engine's local batch index; the hook sees the global iteration.
-func (c *runConfig) fire(iter int, loss float64) {
-	if c.hook != nil {
-		c.hook(c.startIter+iter, loss)
-	}
-}
-
-// tracer returns the configured recorder's tracer for one world rank —
-// nil (the free disabled tracer) when tracing is off.
-func (c *runConfig) tracer(worldRank int) *trace.PE {
-	return c.trace.PE(worldRank)
-}
-
 // maybeFail panics with a *PEFailure when this PE is the configured
 // casualty of global iteration startIter+bi. It runs at the top of the
 // iteration body, before any collective: the victim dies cleanly while
 // its peers are already (or soon) blocked in exchanges, so the world
 // observes a mid-iteration loss and aborts. An injected straggle shows
-// up on the trace as idle time (the engines open an idle span around
+// up on the trace as idle time (the driver opens an idle span around
 // this call).
 func (c *runConfig) maybeFail(worldRank, bi int) {
 	if d, ok := c.delays[delayPoint{worldRank, c.startIter + bi}]; ok {
@@ -349,8 +334,8 @@ func Strategies() []core.Strategy {
 // Run executes a training run described by a Plan: it validates the
 // plan, looks up the strategy's runner in the registry, and dispatches
 // with the options applied. This is the single entry point of the
-// runtime — the advisor, the CLI, and the deprecated per-strategy
-// shims all converge here, so a strategy choice can be a runtime value
+// runtime — the advisor, the CLI, and the elastic supervisor all
+// converge here, so a strategy choice can be a runtime value
 // rather than a function name.
 func Run(m *nn.Model, batches []Batch, pl Plan, opts ...Option) (*Result, error) {
 	cfg := defaultConfig()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"paradl/internal/core"
 	"paradl/internal/nn"
 	"paradl/internal/strategy"
 	"paradl/internal/tensor"
@@ -81,8 +80,9 @@ func planLayer(l *nn.Layer, p int) (*layerPlan, error) {
 // (§3.2), with padVal rows synthesized on the outer edges. padVal is 0
 // for convolution and average pooling; max pooling uses −Inf because
 // the sequential kernel skips padded positions, which a −Inf row can
-// never beat.
+// never beat. The exchange is attributed to the halo phase.
 func haloExchange(c *Comm, x *tensor.Tensor, pl *layerPlan, padVal float64) *tensor.Tensor {
+	defer c.tr.Begin(c.tr.Begin(trace.Halo))
 	rank, p := c.Rank(), c.Size()
 	own := spanOf(pl.in[rank])
 	for dst := 0; dst < p; dst++ {
@@ -123,6 +123,7 @@ func haloExchange(c *Comm, x *tensor.Tensor, pl *layerPlan, padVal float64) *ten
 // back to their owners, and accumulates incoming pieces in ascending PE
 // order so every replica reduces deterministically.
 func haloScatter(c *Comm, dxBlock *tensor.Tensor, pl *layerPlan) *tensor.Tensor {
+	defer c.tr.Begin(c.tr.Begin(trace.Halo))
 	rank, p := c.Rank(), c.Size()
 	need := pl.need[rank]
 	real := dxBlock.Narrow(spatialAxis, pl.padLo[rank], need.len())
@@ -187,25 +188,13 @@ func zeroAxis(pad []int) []int {
 	return out
 }
 
-// RunSpatial executes spatial parallelism (§3.2): every PE owns a
-// contiguous slab of the first spatial dimension of every activation,
-// convolutions and poolings exchange halo rows with their neighbours,
-// and the slabs are aggregated (Allgather) before the classifier head,
-// which runs replicated — the aggregation point of §4.5.1. Trunk weight
-// gradients are partial sums over each PE's output rows and are
-// Allreduced before the identical SGD step; trunk batch norm is
-// synchronized across slabs. It is the p1=1 edge of the data×spatial
-// grid.
-//
-// Deprecated: use Run with Plan{Strategy: core.Spatial, P2: p}.
-func RunSpatial(m *nn.Model, seed int64, batches []Batch, lr float64, p int) (*Result, error) {
-	return Run(m, batches, Plan{Strategy: core.Spatial, P2: p}, WithSeed(seed), WithLR(lr))
-}
-
 // runDataSpatial is the shared engine behind the spatial (p1=1) and
 // data+spatial registry entries: a p1×p2 grid where each group
 // spatially decomposes its own batch shard over p2 slabs, joined by
-// world-wide trunk and segmented head gradient exchange.
+// world-wide trunk and segmented head gradient exchange. Within a
+// group every PE owns a contiguous slab of the first spatial dimension
+// of every trunk activation (§3.2), and the slabs are aggregated before
+// the replicated classifier head (§4.5.1).
 func runDataSpatial(m *nn.Model, batches []Batch, cfg *runConfig, p1, p2 int, label string) (*Result, error) {
 	if err := checkGrid(m, batches, p1, p2, label); err != nil {
 		return nil, err
@@ -247,48 +236,26 @@ func runDataSpatial(m *nn.Model, batches []Batch, cfg *runConfig, p1, p2 int, la
 		}
 		plans[l] = pl
 	}
-	losses, err := runGrid(p1, p2, 0, func(world, group, seg *Comm) ([]float64, error) {
-		net, err := cfg.replica(m)
-		if err != nil {
-			return nil, err
-		}
-		step := newStepper(cfg)
-		seedFullVelocities(cfg, step.mom, net)
+	return runGrid(m, batches, cfg, label, p1, p2, 0, func(world, group, seg *Comm, net *nn.Network, opt *stepper) (engine, error) {
+		seedFullVelocities(cfg, opt.mom, net)
 		// Two bucketed exchanges per PE: trunk conv gradients sum over
 		// the whole world, head gradients over the segment.
 		exWorld := newGradExchanger(world, cfg)
 		exSeg := newGradExchanger(seg, cfg)
-		tr := cfg.tracer(world.Rank())
-		out := make([]float64, 0, len(batches))
-		for bi := range batches {
-			tr.Iter(cfg.startIter + bi)
-			tr.Begin(trace.Idle)
-			cfg.maybeFail(world.Rank(), bi)
-			x, labels, weight := groupShard(&batches[bi], seg.Rank(), p1)
-			loss := dataSpatialStep(world, group, seg, exWorld, exSeg, net, x, labels, weight, plans, fcStart, step, tr)
-			if world.Rank() == 0 {
-				cfg.fire(bi, loss)
-			}
-			out = append(out, loss)
-			if cfg.snapshotDue(bi) {
-				tr.Begin(trace.CheckpointPut)
-				if world.Rank() == 0 {
-					// Every PE steps the full replica in lockstep, so rank 0's
-					// replica IS the canonical state — no gather traffic.
-					params, vel := cloneNetState(net, step.mom)
-					cfg.emit(m.Name, bi, out, params, vel)
+		return engine{
+			step: func(x *tensor.Tensor, labels []int, weight float64) float64 {
+				return dataSpatialStep(world, group, seg, exWorld, exSeg, net, x, labels, weight, plans, fcStart, opt)
+			},
+			snapshot: func() (params, vel []nn.Params) {
+				if world.Rank() != 0 {
+					return nil, nil
 				}
-				// Checkpoint barrier — see runDataFilter.
-				world.AllReduceScalar(0)
-			}
-		}
-		tr.End()
-		return out, nil
+				// Every PE steps the full replica in lockstep, so rank 0's
+				// replica IS the canonical state — no gather traffic.
+				return cloneNetState(net, opt.mom)
+			},
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Strategy: label, P: p1 * p2, P1: p1, P2: p2, Losses: losses}, nil
 }
 
 // dataSpatialStep runs one SGD iteration of the data×spatial grid on
@@ -300,7 +267,8 @@ func runDataSpatial(m *nn.Model, batches []Batch, cfg *runConfig, p1, p2 int, la
 // backward produces them (overlapping the whole trunk backward), trunk
 // conv gradients enter exWorld layer by layer (overlapping the backward
 // of the layers below); draining both is the pre-step barrier.
-func dataSpatialStep(world, group, seg *Comm, exWorld, exSeg *gradExchanger, net *nn.Network, x *tensor.Tensor, labels []int, weight float64, plans []*layerPlan, fcStart int, step *stepper, tr *trace.PE) float64 {
+func dataSpatialStep(world, group, seg *Comm, exWorld, exSeg *gradExchanger, net *nn.Network, x *tensor.Tensor, labels []int, weight float64, plans []*layerPlan, fcStart int, step *stepper) float64 {
+	tr := group.tr
 	model := net.Model
 	rank, p := group.Rank(), group.Size()
 	layers := model.Layers
@@ -323,9 +291,7 @@ func dataSpatialStep(world, group, seg *Comm, exWorld, exSeg *gradExchanger, net
 			spec := &layers[l]
 			switch spec.Kind {
 			case nn.Conv:
-				tr.Begin(trace.Halo)
 				block := haloExchange(group, xin, plans[l], 0)
-				tr.Begin(trace.ComputeForward)
 				cs := tensor.ConvSpec{Stride: spec.Stride, Pad: zeroAxis(spec.Pad)}
 				states[l] = &nn.LayerState{X: block}
 				return tensor.ConvForward(block, net.Params[l].W, net.Params[l].B, cs)
@@ -334,9 +300,7 @@ func dataSpatialStep(world, group, seg *Comm, exWorld, exSeg *gradExchanger, net
 				if spec.PoolKind == tensor.MaxPool {
 					padVal = math.Inf(-1)
 				}
-				tr.Begin(trace.Halo)
 				block := haloExchange(group, xin, plans[l], padVal)
-				tr.Begin(trace.ComputeForward)
 				ps := tensor.PoolSpec{Kind: spec.PoolKind, Window: spec.Kernel, Stride: spec.Stride, Pad: zeroAxis(spec.Pad)}
 				y, arg := tensor.PoolForward(block, ps)
 				states[l] = &nn.LayerState{X: block, Argmax: arg}
@@ -346,9 +310,7 @@ func dataSpatialStep(world, group, seg *Comm, exWorld, exSeg *gradExchanger, net
 				return tensor.ReLUForward(xin)
 			case nn.BatchNorm:
 				if world.Size() > 1 {
-					tr.Begin(trace.BNSync)
 					y, st := syncBNForward(world, xin, net.Params[l].Gamma, net.Params[l].Beta)
-					tr.Begin(trace.ComputeForward)
 					states[l] = &nn.LayerState{X: xin, BN: st}
 					bnSync[l] = true
 					return y
@@ -365,14 +327,10 @@ func dataSpatialStep(world, group, seg *Comm, exWorld, exSeg *gradExchanger, net
 	// group's batch shard (§4.5.1) — every PE of the group computes
 	// identical logits and loss. Head batch norm sees only this group's
 	// shard and synchronizes across the segment.
-	tr.Begin(trace.CollectiveWait)
 	cur = group.AllGather(cur, spatialAxis)
-	tr.Begin(trace.ComputeForward)
 	for l := fcStart; l < g; l++ {
 		if layers[l].Kind == nn.BatchNorm && seg.Size() > 1 {
-			tr.Begin(trace.BNSync)
 			y, st := syncBNForward(seg, cur, net.Params[l].Gamma, net.Params[l].Beta)
-			tr.Begin(trace.ComputeForward)
 			states[l] = &nn.LayerState{X: cur, BN: st}
 			bnSync[l] = true
 			cur = y
@@ -391,9 +349,7 @@ func dataSpatialStep(world, group, seg *Comm, exWorld, exSeg *gradExchanger, net
 		if bnSync[l] {
 			// Sync-BN gradients are already global: they bypass the
 			// bucketed exchange, like the blocking path before it.
-			tr.Begin(trace.BNSync)
 			dx, dgamma, dbeta := syncBNBackward(seg, dy, net.Params[l].Gamma, states[l].BN)
-			tr.Begin(trace.ComputeBackward)
 			grads[l] = nn.Grads{Gamma: dgamma, Beta: dbeta}
 			dy = dx
 			continue
@@ -422,24 +378,16 @@ func dataSpatialStep(world, group, seg *Comm, exWorld, exSeg *gradExchanger, net
 				if exWorld != nil {
 					exWorld.push(dw, db)
 				}
-				tr.Begin(trace.Halo)
-				out := haloScatter(group, dxBlock, plans[l])
-				tr.Begin(trace.ComputeBackward)
-				return out
+				return haloScatter(group, dxBlock, plans[l])
 			case nn.Pool:
 				ps := tensor.PoolSpec{Kind: spec.PoolKind, Window: spec.Kernel, Stride: spec.Stride, Pad: zeroAxis(spec.Pad)}
 				dxBlock := tensor.PoolBackward(dy, states[l].X.Shape(), ps, states[l].Argmax)
-				tr.Begin(trace.Halo)
-				out := haloScatter(group, dxBlock, plans[l])
-				tr.Begin(trace.ComputeBackward)
-				return out
+				return haloScatter(group, dxBlock, plans[l])
 			case nn.ReLU:
 				return tensor.ReLUBackward(dy, states[l].X)
 			case nn.BatchNorm:
 				if bnSync[l] {
-					tr.Begin(trace.BNSync)
 					dx, dgamma, dbeta := syncBNBackward(world, dy, net.Params[l].Gamma, states[l].BN)
-					tr.Begin(trace.ComputeBackward)
 					grads[l] = nn.Grads{Gamma: dgamma, Beta: dbeta}
 					return dx
 				}
@@ -464,8 +412,5 @@ func dataSpatialStep(world, group, seg *Comm, exWorld, exSeg *gradExchanger, net
 		exSeg.drain()
 	}
 	step.stepNet(net, grads)
-	tr.Begin(trace.CollectiveWait)
-	global := seg.AllReduceScalar(loss * weight)
-	tr.Begin(trace.ComputeBackward)
-	return global
+	return seg.AllReduceScalar(loss * weight)
 }

@@ -3,7 +3,6 @@ package dist
 import (
 	"fmt"
 
-	"paradl/internal/core"
 	"paradl/internal/nn"
 	"paradl/internal/strategy"
 	"paradl/internal/tensor"
@@ -14,22 +13,6 @@ import (
 type weightShard struct {
 	w, b *tensor.Tensor
 	rng  strategy.Range
-}
-
-// RunFilter executes filter parallelism (§3.4): every weighted layer's
-// output channels (filters) are sharded across the PEs. Each PE holds
-// the full input activation, computes its output-channel slice, and the
-// slices are Allgathered so the next layer again sees the full tensor.
-// Backward, the input gradient is the Allreduced sum of per-shard
-// contributions — reduce-scattered instead wherever the layer below
-// immediately narrows to its own slice (the paper's footnote-2
-// optimization) — while each PE's weight gradients are exact for its
-// own filters — no gradient exchange at all, the selling point of the
-// strategy in Table 3. It is the p1=1 edge of the data×filter grid.
-//
-// Deprecated: use Run with Plan{Strategy: core.Filter, P2: p}.
-func RunFilter(m *nn.Model, seed int64, batches []Batch, lr float64, p int) (*Result, error) {
-	return Run(m, batches, Plan{Strategy: core.Filter, P2: p}, WithSeed(seed), WithLR(lr))
 }
 
 // runDataFilter is the shared engine behind the data (p2=1), filter
@@ -44,53 +27,22 @@ func runDataFilter(m *nn.Model, batches []Batch, cfg *runConfig, p1, p2 int, lab
 		return nil, fmt.Errorf("dist: model %q supports filter width <= min F_l = %d (Table 3), got %d", m.Name, mf, p2)
 	}
 	rsOK := scatterableInputGrads(m, p2, cfg)
-	losses, err := runGrid(p1, p2, 0, func(world, group, seg *Comm) ([]float64, error) {
-		net, err := cfg.replica(m)
-		if err != nil {
-			return nil, err
-		}
-		step := newStepper(cfg)
+	return runGrid(m, batches, cfg, label, p1, p2, 0, func(world, group, seg *Comm, net *nn.Network, opt *stepper) (engine, error) {
 		ex := newGradExchanger(seg, cfg)
 		shards, err := filterShards(net, group.Rank(), p2)
 		if err != nil {
-			return nil, err
+			return engine{}, err
 		}
-		seedFilterVelocities(cfg, step.mom, net, shards)
-		tr := cfg.tracer(world.Rank())
-		out := make([]float64, 0, len(batches))
-		for bi := range batches {
-			tr.Iter(cfg.startIter + bi)
-			tr.Begin(trace.Idle)
-			cfg.maybeFail(world.Rank(), bi)
-			x, labels, weight := groupShard(&batches[bi], seg.Rank(), p1)
-			loss := dataFilterStep(group, seg, ex, net, shards, rsOK, x, labels, weight, step, tr)
-			if world.Rank() == 0 {
-				cfg.fire(bi, loss)
-			}
-			out = append(out, loss)
-			if cfg.snapshotDue(bi) {
-				tr.Begin(trace.CheckpointPut)
-				// Collective within the group (every group holds an
-				// identical replica of the canonical state); only the
-				// world's result rank emits.
-				params, vel := gatherFilterState(group, net, shards, step.mom)
-				if world.Rank() == 0 {
-					cfg.emit(m.Name, bi, out, params, vel)
-				}
-				// Checkpoint barrier: no PE may start the next iteration
-				// until the snapshot is durable, or a failure injected
-				// just past the boundary could abort the world mid-gather
-				// and lose the checkpoint recovery should resume from.
-				world.AllReduceScalar(0)
-			}
-		}
-		tr.End()
-		return out, nil
+		seedFilterVelocities(cfg, opt.mom, net, shards)
+		return engine{
+			step: func(x *tensor.Tensor, labels []int, weight float64) float64 {
+				return dataFilterStep(group, seg, ex, net, shards, rsOK, x, labels, weight, opt)
+			},
+			// Collective within the group: every group holds an
+			// identical replica of the canonical state.
+			snapshot: func() (params, vel []nn.Params) { return gatherFilterState(group, net, shards, opt.mom) },
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Strategy: label, P: p1 * p2, P1: p1, P2: p2, Losses: losses}, nil
 }
 
 // scatterableInputGrads marks the sharded layers whose backward input
@@ -199,7 +151,8 @@ func shardGrad(dy *tensor.Tensor, sh *weightShard, group *Comm) *tensor.Tensor {
 // weight/bias gradients are pushed the moment its backward completes,
 // so with overlap on the segment allreduce of layer l hides behind the
 // backward compute of the layers below it.
-func dataFilterStep(group, seg *Comm, ex *gradExchanger, net *nn.Network, shards []*weightShard, rsOK []bool, x *tensor.Tensor, labels []int, weight float64, step *stepper, tr *trace.PE) float64 {
+func dataFilterStep(group, seg *Comm, ex *gradExchanger, net *nn.Network, shards []*weightShard, rsOK []bool, x *tensor.Tensor, labels []int, weight float64, step *stepper) float64 {
+	tr := group.tr
 	layers := net.Model.Layers
 	gph := net.Graph()
 	g := len(layers)
@@ -217,23 +170,15 @@ func dataFilterStep(group, seg *Comm, ex *gradExchanger, net *nn.Network, shards
 			cs := tensor.ConvSpec{Stride: spec.Stride, Pad: spec.Pad}
 			states[l] = &nn.LayerState{X: xin}
 			y := tensor.ConvForward(xin, sh.w, sh.b, cs)
-			tr.Begin(trace.CollectiveWait)
-			out := group.AllGather(y, 1)
-			tr.Begin(trace.ComputeForward)
-			return out
+			return group.AllGather(y, 1)
 		case spec.Kind == nn.FC:
 			n := xin.Dim(0)
 			flat := xin.Reshape(n, xin.Len()/n)
 			states[l] = &nn.LayerState{X: xin}
 			y := tensor.FCForward(flat, sh.w, sh.b)
-			tr.Begin(trace.CollectiveWait)
-			out := group.AllGather(y, 1)
-			tr.Begin(trace.ComputeForward)
-			return out
+			return group.AllGather(y, 1)
 		case spec.Kind == nn.BatchNorm && seg.Size() > 1:
-			tr.Begin(trace.BNSync)
 			y, st := syncBNForward(seg, xin, net.Params[l].Gamma, net.Params[l].Beta)
-			tr.Begin(trace.ComputeForward)
 			states[l] = &nn.LayerState{X: xin, BN: st}
 			bnSync[l] = true
 			return y
@@ -277,9 +222,7 @@ func dataFilterStep(group, seg *Comm, ex *gradExchanger, net *nn.Network, shards
 				return nil
 			}
 			dxPart := tensor.ConvBackwardData(dySh, sh.w, xl.Shape(), cs)
-			tr.Begin(trace.CollectiveWait)
 			out, sliced := exchangeInputGrad(group, dxPart, rsOK[l])
-			tr.Begin(trace.ComputeBackward)
 			if !spec.Branch {
 				dySliced = sliced
 			}
@@ -300,15 +243,11 @@ func dataFilterStep(group, seg *Comm, ex *gradExchanger, net *nn.Network, shards
 			if gph.Src(l) < 0 {
 				return nil
 			}
-			tr.Begin(trace.CollectiveWait)
 			out, sliced := exchangeInputGrad(group, dxPart, rsOK[l])
-			tr.Begin(trace.ComputeBackward)
 			dySliced = sliced
 			return out
 		case bnSync[l]:
-			tr.Begin(trace.BNSync)
 			dx, dgamma, dbeta := syncBNBackward(seg, dy, net.Params[l].Gamma, states[l].BN)
-			tr.Begin(trace.ComputeBackward)
 			grads[l] = nn.Grads{Gamma: dgamma, Beta: dbeta}
 			return dx
 		case dySliced:
@@ -349,10 +288,7 @@ func dataFilterStep(group, seg *Comm, ex *gradExchanger, net *nn.Network, shards
 		step.step(shards[l].w, shardGrads[l].w)
 		step.step(shards[l].b, shardGrads[l].b)
 	}
-	tr.Begin(trace.CollectiveWait)
-	global := seg.AllReduceScalar(loss * weight)
-	tr.Begin(trace.ComputeBackward)
-	return global
+	return seg.AllReduceScalar(loss * weight)
 }
 
 // exchangeInputGrad performs the group-wide input-gradient exchange of
@@ -375,20 +311,13 @@ func channelChunk(x *tensor.Tensor, group *Comm) *tensor.Tensor {
 	return x.Narrow(1, off, tensor.SplitSizes(x.Dim(1), p)[r])
 }
 
-// RunChannel executes channel parallelism (§3.5): every weighted layer's
-// input channels are sharded, each PE convolves its channel slice with
-// its weight slice, and the partial outputs are summed by Allreduce
-// before the bias is applied exactly once. Layers with fewer channels
-// than PEs — in practice the first layer, which the paper also leaves
-// unsplit (§4.2) — run replicated.
-//
-// Deprecated: use Run with Plan{Strategy: core.Channel, P2: p}.
-func RunChannel(m *nn.Model, seed int64, batches []Batch, lr float64, p int) (*Result, error) {
-	return Run(m, batches, Plan{Strategy: core.Channel, P2: p}, WithSeed(seed), WithLR(lr))
-}
-
-// runChannel is the channel-parallel engine behind the registry, which
-// guarantees p >= 1 via Plan.Validate.
+// runChannel executes channel parallelism (§3.5): every weighted
+// layer's input channels are sharded, each PE convolves its channel
+// slice with its weight slice, and the partial outputs are summed by
+// Allreduce before the bias is applied exactly once. Layers with fewer
+// channels than PEs — in practice the first layer, which the paper also
+// leaves unsplit (§4.2) — run replicated. It is the 1×p grid; the
+// registry guarantees p >= 1 via Plan.Validate.
 func runChannel(m *nn.Model, batches []Batch, cfg *runConfig, p int) (*Result, error) {
 	if mc := m.MinChannels(); p > 1 && p > mc {
 		return nil, fmt.Errorf("dist: model %q supports channel width <= min C_l = %d (Table 3), got p=%d", m.Name, mc, p)
@@ -396,45 +325,19 @@ func runChannel(m *nn.Model, batches []Batch, cfg *runConfig, p int) (*Result, e
 	if err := checkBatches(m, batches); err != nil {
 		return nil, err
 	}
-	losses, err := runWorld(p, 0, func(c *Comm) ([]float64, error) {
-		net, err := cfg.replica(m)
+	return runGrid(m, batches, cfg, "channel", 1, p, 0, func(world, _, _ *Comm, net *nn.Network, opt *stepper) (engine, error) {
+		shards, err := channelShards(net, world.Rank(), p)
 		if err != nil {
-			return nil, err
+			return engine{}, err
 		}
-		step := newStepper(cfg)
-		shards, err := channelShards(net, c.Rank(), p)
-		if err != nil {
-			return nil, err
-		}
-		seedChannelVelocities(cfg, step.mom, net, shards)
-		tr := cfg.tracer(c.Rank())
-		out := make([]float64, 0, len(batches))
-		for bi := range batches {
-			tr.Iter(cfg.startIter + bi)
-			tr.Begin(trace.Idle)
-			cfg.maybeFail(c.Rank(), bi)
-			loss := channelStep(c, net, shards, &batches[bi], step, tr)
-			if c.Rank() == 0 {
-				cfg.fire(bi, loss)
-			}
-			out = append(out, loss)
-			if cfg.snapshotDue(bi) {
-				tr.Begin(trace.CheckpointPut)
-				params, vel := gatherChannelState(c, net, shards, step.mom)
-				if c.Rank() == 0 {
-					cfg.emit(m.Name, bi, out, params, vel)
-				}
-				// Checkpoint barrier — see runDataFilter.
-				c.AllReduceScalar(0)
-			}
-		}
-		tr.End()
-		return out, nil
+		seedChannelVelocities(cfg, opt.mom, net, shards)
+		return engine{
+			step: func(x *tensor.Tensor, labels []int, _ float64) float64 {
+				return channelStep(world, net, shards, x, labels, opt)
+			},
+			snapshot: func() (params, vel []nn.Params) { return gatherChannelState(world, net, shards, opt.mom) },
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Strategy: "channel", P: p, P1: 1, P2: p, Losses: losses}, nil
 }
 
 // channelShards carves rank's input-channel slice of every weighted
@@ -475,13 +378,14 @@ func channelShards(net *nn.Network, rank, p int) ([]*weightShard, error) {
 // routes shortcut convolutions from their taps and merges their output
 // into the main path; a sharded shortcut convolves its input-channel
 // slice of the tap activation like any other sharded layer.
-func channelStep(c *Comm, net *nn.Network, shards []*weightShard, b *Batch, step *stepper, tr *trace.PE) float64 {
+func channelStep(c *Comm, net *nn.Network, shards []*weightShard, x *tensor.Tensor, labels []int, step *stepper) float64 {
+	tr := c.tr
 	layers := net.Model.Layers
 	gph := net.Graph()
 	g := len(layers)
 	states := make([]*nn.LayerState, g)
 	tr.Begin(trace.ComputeForward)
-	cur := gph.ForwardRange(0, g, b.X, func(l int, xin *tensor.Tensor) *tensor.Tensor {
+	cur := gph.ForwardRange(0, g, x, func(l int, xin *tensor.Tensor) *tensor.Tensor {
 		spec := &layers[l]
 		sh := shards[l]
 		switch {
@@ -490,9 +394,7 @@ func channelStep(c *Comm, net *nn.Network, shards []*weightShard, b *Batch, step
 			xSh := xin.Narrow(1, sh.rng.Start, sh.rng.Size())
 			states[l] = &nn.LayerState{X: xSh}
 			part := tensor.ConvForward(xSh, sh.w, nil, cs)
-			tr.Begin(trace.CollectiveWait)
 			y := c.AllReduceSum(part)
-			tr.Begin(trace.ComputeForward)
 			tensor.AddBias(y, net.Params[l].B)
 			return y
 		case spec.Kind == nn.FC && sh != nil:
@@ -501,9 +403,7 @@ func channelStep(c *Comm, net *nn.Network, shards []*weightShard, b *Batch, step
 			flat := xSh.Reshape(n, xSh.Len()/n)
 			states[l] = &nn.LayerState{X: xSh}
 			part := tensor.FCForward(flat, sh.w, nil)
-			tr.Begin(trace.CollectiveWait)
 			y := c.AllReduceSum(part)
-			tr.Begin(trace.ComputeForward)
 			tensor.AddBias(y, net.Params[l].B)
 			return y
 		default:
@@ -514,7 +414,7 @@ func channelStep(c *Comm, net *nn.Network, shards []*weightShard, b *Batch, step
 			return y
 		}
 	})
-	loss, dy := tensor.SoftmaxCrossEntropy(cur, b.Labels)
+	loss, dy := tensor.SoftmaxCrossEntropy(cur, labels)
 	tr.Begin(trace.ComputeBackward)
 
 	grads := make([]nn.Grads, g)
@@ -529,20 +429,14 @@ func channelStep(c *Comm, net *nn.Network, shards []*weightShard, b *Batch, step
 			dxSh := tensor.ConvBackwardData(dy, sh.w, xSh.Shape(), cs)
 			dw, db := tensor.ConvBackwardWeight(dy, xSh, sh.w.Shape(), cs)
 			shardGrads[l] = weightShard{w: dw, b: db}
-			tr.Begin(trace.CollectiveWait)
-			out := c.AllGather(dxSh, 1)
-			tr.Begin(trace.ComputeBackward)
-			return out
+			return c.AllGather(dxSh, 1)
 		case spec.Kind == nn.FC && sh != nil:
 			xSh := states[l].X
 			n := xSh.Dim(0)
 			flat := xSh.Reshape(n, xSh.Len()/n)
 			dxSh, dw, db := tensor.FCBackward(dy, flat, sh.w, xSh.Shape())
 			shardGrads[l] = weightShard{w: dw, b: db}
-			tr.Begin(trace.CollectiveWait)
-			out := c.AllGather(dxSh, 1)
-			tr.Begin(trace.ComputeBackward)
-			return out
+			return c.AllGather(dxSh, 1)
 		default:
 			dx, gr := net.BackwardLayer(l, dy, states[l])
 			grads[l] = gr

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
-	"io"
 	"time"
 
 	"paradl/internal/metrics"
@@ -10,9 +8,9 @@ import (
 
 // serverMetrics holds the server's counters in a metrics.Registry —
 // each Server owns its own registry (a process-global one would
-// collide across servers in tests), which gives two views of the same
-// counters: the stable expvar-style JSON document on /metrics, and
-// Prometheus text exposition on /metrics/prom. The registry is shared:
+// collide across servers in tests), rendered as Prometheus text
+// exposition on /metrics/prom and snapshotted in-process by
+// Server.Stats. The registry is shared:
 // trace recorders can publish per-phase histograms into it (see
 // trace.Recorder.PublishMetrics) and they ride the same scrape.
 type serverMetrics struct {
@@ -28,29 +26,12 @@ type serverMetrics struct {
 	latency      *metrics.Histogram  // request latency histogram
 }
 
-// latencyBuckets are the histogram upper bounds (seconds) paired with
-// the JSON view's bucket keys — keys are chosen to sort by bound, which
-// keeps the rendered document's bucket order stable. The final +Inf
-// bucket renders as le_inf.
-var latencyBuckets = []struct {
-	le  float64
-	key string
-}{
-	{100e-6, "le_0000100us"},
-	{500e-6, "le_0000500us"},
-	{1e-3, "le_0001000us"},
-	{5e-3, "le_0005000us"},
-	{25e-3, "le_0025000us"},
-	{100e-3, "le_0100000us"},
-	{1, "le_1000000us"},
-}
+// latencyBuckets are the request-latency histogram's upper bounds in
+// seconds (100 µs to 1 s); the exposition adds the final +Inf bucket.
+var latencyBuckets = []float64{100e-6, 500e-6, 1e-3, 5e-3, 25e-3, 100e-3, 1}
 
 func newMetrics() *serverMetrics {
 	reg := metrics.NewRegistry()
-	bounds := make([]float64, len(latencyBuckets))
-	for i, b := range latencyBuckets {
-		bounds[i] = b.le
-	}
 	return &serverMetrics{
 		reg:          reg,
 		requests:     reg.CounterVec("paradl_serve_requests_total", "Planning requests by endpoint.", "endpoint"),
@@ -61,51 +42,13 @@ func newMetrics() *serverMetrics {
 		projections:  reg.Counter("paradl_serve_projections_total", "Individual core.Project evaluations."),
 		errors:       reg.Counter("paradl_serve_errors_total", "Requests answered with an error status."),
 		shed:         reg.Counter("paradl_serve_shed_total", "Requests shed by admission control."),
-		latency:      reg.Histogram("paradl_serve_request_duration_seconds", "Request latency.", bounds),
+		latency:      reg.Histogram("paradl_serve_request_duration_seconds", "Request latency.", latencyBuckets),
 	}
 }
 
 // observe records one request latency in the histogram.
 func (m *serverMetrics) observe(d time.Duration) {
 	m.latency.Observe(d.Seconds())
-}
-
-// writeJSON renders the full metrics document. The key set and bucket
-// keys are a stable contract (the CI e2e step jq-gates on them), so the
-// document is built field-by-field rather than from the registry.
-func (m *serverMetrics) writeJSON(w io.Writer) {
-	req := map[string]int64{}
-	for k, v := range m.requests.Snapshot() {
-		req[k] = int64(v)
-	}
-	lat := map[string]int64{}
-	counts := m.latency.Buckets()
-	for i, b := range latencyBuckets {
-		lat[b.key] = counts[i]
-	}
-	lat["le_inf"] = counts[len(counts)-1]
-	doc := struct {
-		Requests     map[string]int64 `json:"requests"`
-		CacheHits    int64            `json:"cache_hits"`
-		CacheMisses  int64            `json:"cache_misses"`
-		Coalesced    int64            `json:"singleflight_coalesced"`
-		Computations int64            `json:"computations"`
-		Projections  int64            `json:"projections"`
-		Errors       int64            `json:"errors"`
-		Shed         int64            `json:"shed"`
-		Latency      map[string]int64 `json:"latency"`
-	}{
-		Requests:     req,
-		CacheHits:    m.hits.Int(),
-		CacheMisses:  m.misses.Int(),
-		Coalesced:    m.coalesced.Int(),
-		Computations: m.computations.Int(),
-		Projections:  m.projections.Int(),
-		Errors:       m.errors.Int(),
-		Shed:         m.shed.Int(),
-		Latency:      lat,
-	}
-	json.NewEncoder(w).Encode(doc)
 }
 
 // Stats is a point-in-time snapshot of the server's counters, for

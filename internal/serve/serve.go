@@ -8,12 +8,12 @@
 //
 // Endpoints (POST JSON unless noted):
 //
-//	/project  one (strategy, config) projection
-//	/advise   every strategy projected and ranked for one config
-//	/sweep    the full strategy × p grid, including hybrid p1×p2 shapes
-//	/healthz  GET liveness probe with uptime and build info
-//	/readyz   GET readiness probe: 503 while draining or queue-saturated
-//	/metrics  GET request/cache/singleflight/latency counters (expvar)
+//	/project       one (strategy, config) projection
+//	/advise        every strategy projected and ranked for one config
+//	/sweep         the full strategy × p grid, including hybrid p1×p2 shapes
+//	/healthz       GET liveness probe with uptime and build info
+//	/readyz        GET readiness probe: 503 while draining or queue-saturated
+//	/metrics/prom  GET request/cache/singleflight/latency counters (Prometheus text)
 //
 // The planning endpoints sit behind an admission gate: a fixed number
 // of concurrency slots with a bounded wait queue and per-request
@@ -96,10 +96,6 @@ func New(opts ...Option) *Server {
 	s.mux.HandleFunc("/sweep", s.endpoint("sweep"))
 	s.mux.HandleFunc("/healthz", s.healthz)
 	s.mux.HandleFunc("/readyz", s.readyz)
-	s.mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		s.met.writeJSON(w)
-	})
 	s.mux.HandleFunc("/metrics/prom", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		s.met.reg.WritePrometheus(w)

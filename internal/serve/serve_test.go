@@ -36,6 +36,9 @@ func newTestServer(t *testing.T, opts ...Option) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// TestHealthzAndMetrics: the Prometheus exposition carries every
+// server counter with the values a known request sequence implies —
+// a cache miss, a cache hit of the same projection, and a rejected GET.
 func TestHealthzAndMetrics(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -46,20 +49,21 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
-	resp2, err := http.Get(ts.URL + "/metrics")
+	body := `{"model":"resnet50","gpus":64,"batch":32,"strategy":"data"}`
+	for i := 0; i < 2; i++ {
+		if code, got := post(t, ts.URL+"/project", body); code != 200 {
+			t.Fatalf("project status %d: %s", code, got)
+		}
+	}
+	resp2, err := http.Get(ts.URL + "/project")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp2.Body.Close()
-	var doc map[string]json.RawMessage
-	if err := json.NewDecoder(resp2.Body).Decode(&doc); err != nil {
-		t.Fatalf("metrics is not JSON: %v", err)
+	resp2.Body.Close()
+	if resp2.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET /project status %d", resp2.StatusCode)
 	}
-	for _, k := range []string{"requests", "cache_hits", "cache_misses", "singleflight_coalesced", "computations", "projections", "errors", "latency"} {
-		if _, ok := doc[k]; !ok {
-			t.Fatalf("metrics missing %q: %v", k, doc)
-		}
-	}
+
 	resp3, err := http.Get(ts.URL + "/metrics/prom")
 	if err != nil {
 		t.Fatal(err)
@@ -74,8 +78,19 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 	for _, want := range []string{
 		"# TYPE paradl_serve_requests_total counter",
+		`paradl_serve_requests_total{endpoint="project"} 3`,
+		"paradl_serve_cache_hits_total 1",
+		"paradl_serve_cache_misses_total 1",
+		"paradl_serve_singleflight_coalesced_total 0",
+		"paradl_serve_computations_total 1",
+		"paradl_serve_projections_total 1",
+		"paradl_serve_errors_total 1",
+		"paradl_serve_shed_total 0",
 		"# TYPE paradl_serve_request_duration_seconds histogram",
-		"paradl_serve_request_duration_seconds_bucket{le=\"+Inf\"}",
+		`paradl_serve_request_duration_seconds_bucket{le="0.0001"}`,
+		`paradl_serve_request_duration_seconds_bucket{le="1"}`,
+		`paradl_serve_request_duration_seconds_bucket{le="+Inf"} 3`,
+		"paradl_serve_request_duration_seconds_count 3",
 	} {
 		if !strings.Contains(string(prom), want) {
 			t.Fatalf("prom exposition missing %q:\n%s", want, prom)
