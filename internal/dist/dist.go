@@ -41,13 +41,19 @@
 //
 // Every engine runs as a p1×p2 grid (serial is 1×1, channel 1×p)
 // through one driver, runGrid. An engine validates its plan, sets up
-// each PE (shards, velocities, gradient exchangers), and hands the
-// driver two calls: step, one iteration on the PE's batch shard
-// returning the global loss, and snapshot, the canonical state at a
-// checkpoint boundary. The driver owns the rest of the iteration: trace
-// marks and the idle span, fault and straggle injection, the hook and
-// loss series, checkpoint cadence and emission, and the checkpoint
-// barrier, whose checkpoint-put span also covers the state gathers.
+// each PE (shards, gradient exchangers), and hands the driver two
+// things: step, one iteration on the PE's batch shard returning the
+// global loss, and placement, where the PE holds every parameter field
+// within its group — whole on every rank, split along one axis in rank
+// order, or whole on one owning rank (Table 3's partitioning of the
+// weights, declared once). The driver owns the rest of the iteration:
+// trace marks and the idle span, fault and straggle injection, the hook
+// and loss series, checkpoint cadence and emission, and the checkpoint
+// barrier, whose checkpoint-put span also covers the state gathers. It
+// derives the elastic state from the placement: the velocity re-seed
+// of a resumed run carves the canonical velocities with each field's
+// cut, and the checkpoint gather inverts the cuts within the result
+// rank's group only.
 // Communication attributes itself on the trace: the blocking
 // collectives of Comm open a collective-wait span and the exchange
 // helpers (halo, sync-BN, pipeline transfer) their own phase, so step
@@ -109,7 +115,6 @@ func runSequential(m *nn.Model, batches []Batch, cfg *runConfig) (*Result, error
 		return nil, err
 	}
 	return runGrid(m, batches, cfg, "sequential", 1, 1, 0, func(world, _, _ *Comm, net *nn.Network, opt *stepper) (engine, error) {
-		seedFullVelocities(cfg, opt.mom, net)
 		tr := world.tr
 		return engine{
 			step: func(x *tensor.Tensor, labels []int, _ float64) float64 {
@@ -124,7 +129,7 @@ func runSequential(m *nn.Model, batches []Batch, cfg *runConfig) (*Result, error
 				opt.stepNet(net, grads)
 				return loss
 			},
-			snapshot: func() (params, vel []nn.Params) { return cloneNetState(net, opt.mom) },
+			place: replicated(net),
 		}, nil
 	})
 }
@@ -137,32 +142,30 @@ func newReplica(m *nn.Model, seed int64) *nn.Network {
 
 // replica builds this PE's full replica: the usual seed-derived
 // initialization, then — when resuming — the canonical checkpoint
-// parameters copied over it. The seed init still runs first so the
-// model's RNG stream is consumed identically to a fresh run; engines
-// then carve their shards from the restored replica exactly as they
-// would from a fresh one, which is what makes re-sharding under any
-// plan a non-event.
-func (c *runConfig) replica(m *nn.Model) (*nn.Network, error) {
+// parameters copied over it (Run validated them with checkState). The
+// seed init still runs first so the model's RNG stream is consumed
+// identically to a fresh run; engines then carve their shards from the
+// restored replica exactly as they would from a fresh one, which is
+// what makes re-sharding under any plan a non-event.
+func (c *runConfig) replica(m *nn.Model) *nn.Network {
 	net := newReplica(m, c.seed)
 	if c.initState != nil {
-		if err := restoreParams(net, c.initState); err != nil {
-			return nil, err
-		}
+		restoreParams(net, c.initState)
 	}
-	return net, nil
+	return net
 }
 
 // engine is one PE's strategy-specific half of a training iteration,
 // built by an engine's setup once the PE holds its shards. step trains
 // on this PE's group shard of one batch — x and labels, weighted n_g/B
 // in the global loss — and returns the iteration's global loss, which
-// the driver reads on the result rank only. snapshot returns the
-// canonical training state at a checkpoint boundary; every PE calls it
-// (gathering a sharded state is collective) and only the result rank's
-// state is emitted.
+// the driver reads on the result rank only. place is where the PE holds
+// every parameter field within its group (elastic_state.go); the driver
+// derives the velocity re-seed of a resumed run and the checkpoint
+// gather from it.
 type engine struct {
-	step     func(x *tensor.Tensor, labels []int, weight float64) float64
-	snapshot func() (params, vel []nn.Params)
+	step  func(x *tensor.Tensor, labels []int, weight float64) float64
+	place placement
 }
 
 // runGrid spawns the p1×p2 grid (see hybrid.go) and drives every PE
@@ -173,14 +176,16 @@ type engine struct {
 // replica, and its optimizer, and setup builds its engine from them.
 // resultRank selects the world rank whose losses the run reports and
 // whose snapshots reach the sink: 0, or group 0's last stage for the
-// pipeline grid.
+// pipeline grid. On a resumed run the driver seeds each PE's momentum
+// with its carve of the canonical velocities before the first step.
 //
 // The loop is the iteration shell every engine shares: per iteration
 // it marks the trace, runs the idle span through fault and straggle
 // injection, slices group g's batch shard, runs the engine's step,
 // records the loss and fires the hook on the result rank, and on
 // checkpoint boundaries gathers, emits, and holds the checkpoint
-// barrier.
+// barrier. Only the result rank's group gathers: the groups are
+// bit-identical replicas of the canonical state.
 func runGrid(m *nn.Model, batches []Batch, cfg *runConfig, label string, p1, p2, resultRank int,
 	setup func(world, group, seg *Comm, net *nn.Network, opt *stepper) (engine, error)) (*Result, error) {
 	groups, segments, err := strategy.HybridGroups(p1, p2)
@@ -190,14 +195,15 @@ func runGrid(m *nn.Model, batches []Batch, cfg *runConfig, label string, p1, p2,
 	losses, err := runWorld(p1*p2, resultRank, func(world *Comm) ([]float64, error) {
 		tr := cfg.trace.PE(world.Rank())
 		world.tr = tr
-		net, err := cfg.replica(m)
+		net := cfg.replica(m)
+		g, k := world.Rank()/p2, world.Rank()%p2
+		group, opt := world.Sub(groups[g]), newStepper(cfg)
+		e, err := setup(world, group, world.Sub(segments[k]), net, opt)
 		if err != nil {
 			return nil, err
 		}
-		g, k := world.Rank()/p2, world.Rank()%p2
-		e, err := setup(world, world.Sub(groups[g]), world.Sub(segments[k]), net, newStepper(cfg))
-		if err != nil {
-			return nil, err
+		if st := cfg.initState; st != nil && opt.mom != nil && len(st.Vel) > 0 {
+			e.place.seedVelocities(opt.mom, st.Vel, k)
 		}
 		defer tr.End()
 		owner := world.Rank() == resultRank
@@ -216,9 +222,11 @@ func runGrid(m *nn.Model, batches []Batch, cfg *runConfig, label string, p1, p2,
 			}
 			if cfg.snapshotDue(bi) {
 				tr.Begin(trace.CheckpointPut)
-				params, vel := e.snapshot()
-				if owner {
-					cfg.emit(m.Name, bi, losses, params, vel)
+				if g == resultRank/p2 {
+					params, vel := e.place.gather(group, resultRank%p2, opt.mom)
+					if owner {
+						cfg.emit(m.Name, bi, losses, params, vel)
+					}
 				}
 				// Checkpoint barrier: no PE may start the next iteration
 				// until the snapshot is durable, or a failure injected

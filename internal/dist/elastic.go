@@ -208,6 +208,15 @@ func RunElastic(m *nn.Model, batches []Batch, pl Plan, pol Policy, opts ...Optio
 	var cands []Plan      // untried alternatives for the in-progress re-plan
 	var pending *Recovery // logged once the re-planned world actually runs
 	var failAt time.Time  // crash instant of the pending recovery (zero for grow-backs)
+	// growBack re-plans at full width once the failed slot has healed at
+	// iteration at; the next leg migrates back through the checkpoint.
+	growBack := func(at int) {
+		sched.consumeHeal(at)
+		cands = growCandidates(m, pl, fullP, globalBatch, len(batches))
+		pending = &Recovery{Kind: "grow-back", PE: -1, FailIter: at, From: cur.String(), To: cands[0].String(), ResumeIter: resumeIter()}
+		cur, cands, disarm = cands[0], cands[1:], true
+		failAt = time.Time{}
+	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("dist: elastic supervisor cancelled: %w", err)
@@ -215,13 +224,7 @@ func RunElastic(m *nn.Model, batches []Batch, pl Plan, pol Policy, opts ...Optio
 		start := resumeIter()
 		// A heal the checkpoint already covers: grow immediately.
 		if cur.P() < fullP && sched.healDue(start) {
-			sched.consumeHeal(start)
-			cands = growCandidates(m, pl, fullP, globalBatch, len(batches))
-			grown := cands[0]
-			cands = cands[1:]
-			pending = &Recovery{Kind: "grow-back", PE: -1, FailIter: start, From: cur.String(), To: grown.String(), ResumeIter: start}
-			cur, disarm = grown, true
-			failAt = time.Time{}
+			growBack(start)
 			continue
 		}
 		end := sched.growBoundary(start, len(batches), cur.P() < fullP)
@@ -242,17 +245,10 @@ func RunElastic(m *nn.Model, batches []Batch, pl Plan, pol Policy, opts ...Optio
 				return finish(res, prefix)
 			}
 			// The leg stopped at a heal boundary: the failed slot is
-			// healthy again — re-plan at full width and migrate back
-			// through the checkpoint. If the cadence left the newest
-			// snapshot short of the boundary, the grown world replays the
-			// gap; replay through canonical state is parity-exact.
-			sched.consumeHeal(end)
-			cands = growCandidates(m, pl, fullP, globalBatch, len(batches))
-			grown := cands[0]
-			cands = cands[1:]
-			pending = &Recovery{Kind: "grow-back", PE: -1, FailIter: end, From: cur.String(), To: grown.String(), ResumeIter: resumeIter()}
-			cur, disarm = grown, true
-			failAt = time.Time{}
+			// healthy again. If the cadence left the newest snapshot
+			// short of the boundary, the grown world replays the gap;
+			// replay through canonical state is parity-exact.
+			growBack(end)
 			continue
 		}
 		var pf *PEFailure

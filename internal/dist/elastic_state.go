@@ -5,74 +5,175 @@ import (
 
 	"paradl/internal/ckpt"
 	"paradl/internal/nn"
-	"paradl/internal/strategy"
 	"paradl/internal/tensor"
 )
 
-// This file is the canonical-state machinery of the elastic runtime:
-// every engine can GATHER its sharded training state into the full
-// unsharded tensors a checkpoint records, and RESTORE such a snapshot
-// by overwriting its freshly-initialized replica before carving shards.
-// Because every engine derives its shards from the full replica by
-// Narrow (a copy), restore is uniform: write the canonical parameters
-// into the replica and the usual sharding path re-shards them — under
-// the original plan, a shrunken plan, or an entirely different
-// strategy. Gathers are pure data movement over cloned tensors, so a
-// checkpointing run is bit-identical to a plain one.
+// This file is the canonical-state machinery of the elastic runtime.
+// Every engine declares, once, where its PE holds each parameter field
+// within its group — its placement, Table 3's partitioning of the
+// weights — and everything else derives from that one declaration:
+// engines carve their parameter shards with it, runGrid carves the
+// canonical velocities of a resumed run with the same cut and gathers
+// the canonical state at checkpoint boundaries by inverting it, and Run
+// validates a restore target once, before any PE spawns. Because every
+// engine carves from a full replica (a copy), restore is uniform: write
+// the canonical parameters into the replica and the usual carving
+// re-shards them — under the original plan, a shrunken plan, or an
+// entirely different strategy. Gathers are pure data movement over
+// cloned tensors, so a checkpointing run is bit-identical to a plain
+// one.
 
-// restoreParams copies the canonical snapshot parameters over net's
-// seed-derived ones, field by field, with strict shape checking; it
-// also validates the snapshot's velocity geometry so the per-engine
-// velocity seeding below cannot fail mid-world.
-func restoreParams(net *nn.Network, st *ckpt.State) error {
-	for l := range net.Params {
-		for _, f := range [4]struct {
-			name     string
-			dst, src *tensor.Tensor
-		}{
-			{"W", net.Params[l].W, st.Params[l].W},
-			{"B", net.Params[l].B, st.Params[l].B},
-			{"Gamma", net.Params[l].Gamma, st.Params[l].Gamma},
-			{"Beta", net.Params[l].Beta, st.Params[l].Beta},
-		} {
-			if err := restoreField(f.dst, f.src, l, f.name); err != nil {
-				return err
-			}
-		}
-		if st.Vel == nil {
-			continue
-		}
-		for _, f := range [4]struct {
-			name       string
-			param, vel *tensor.Tensor
-		}{
-			{"W", net.Params[l].W, st.Vel[l].W},
-			{"B", net.Params[l].B, st.Vel[l].B},
-			{"Gamma", net.Params[l].Gamma, st.Vel[l].Gamma},
-			{"Beta", net.Params[l].Beta, st.Vel[l].Beta},
-		} {
-			if f.vel == nil {
-				continue
-			}
-			if f.param == nil || !tensor.EqualShapes(f.vel.Shape(), f.param.Shape()) {
-				return fmt.Errorf("dist: checkpoint velocity for layer %d %s does not match the model's parameter geometry", l, f.name)
-			}
-		}
-	}
-	return nil
+// fieldNames names a layer's four parameter fields in the canonical
+// order that placements, gathers and restores index by; fieldW and
+// fieldB are the indices the sharding engines re-place.
+var fieldNames = [4]string{"W", "B", "Gamma", "Beta"}
+
+const fieldW, fieldB = 0, 1
+
+// fields returns the addresses of p's four fields in canonical order.
+func fields(p *nn.Params) [4]**tensor.Tensor {
+	return [4]**tensor.Tensor{&p.W, &p.B, &p.Gamma, &p.Beta}
 }
 
-func restoreField(dst, src *tensor.Tensor, l int, name string) error {
-	if (dst == nil) != (src == nil) {
-		return fmt.Errorf("dist: checkpoint and model disagree on layer %d parameter %s", l, name)
+// holdKind is how a group holds one parameter field.
+type holdKind uint8
+
+const (
+	holdWhole holdKind = iota // whole on every group rank (replicated, stepped in lockstep)
+	holdSplit                 // sliced along one axis, rank k holding the k-th slice
+	holdOwned                 // whole on exactly one group rank
+)
+
+// hold is where one PE holds one parameter field within its group.
+type hold struct {
+	// t is the tensor this PE steps: its slice of a split field, the
+	// whole field otherwise (stale on the ranks that do not own an owned
+	// field). Nil when the layer has no such field — identically on
+	// every rank, since geometry comes from the model spec.
+	t      *tensor.Tensor
+	kind   holdKind
+	axis   int // holdSplit: the sliced axis
+	off, n int // holdSplit: this rank's slice [off, off+n) along axis
+	owner  int // holdOwned: the group rank holding the field
+}
+
+// placement maps every layer's four parameter fields to where this PE
+// holds them.
+type placement [][4]hold
+
+// replicated places every field of net whole on every rank, held by
+// the replica itself — the serial and spatial engines' placement, and
+// the starting point the sharding engines re-place fields from.
+func replicated(net *nn.Network) placement {
+	pl := make(placement, len(net.Params))
+	for l := range net.Params {
+		for f, t := range fields(&net.Params[l]) {
+			pl[l][f] = hold{t: *t}
+		}
 	}
-	if dst == nil {
-		return nil
+	return pl
+}
+
+// shard re-places field f of layer l as this rank's slice [off, off+n)
+// along axis, carved from the whole replica tensor it held, and returns
+// the slice — the PE's authoritative copy of the field from here on.
+func (pl placement) shard(l, f, axis, off, n int) *tensor.Tensor {
+	h := hold{kind: holdSplit, axis: axis, off: off, n: n}
+	h.t = h.carve(pl[l][f].t)
+	pl[l][f] = h
+	return h.t
+}
+
+// own re-places every field of layers [start, end) as held whole by
+// group rank owner only.
+func (pl placement) own(start, end, owner int) {
+	for l := start; l < end; l++ {
+		for f := range pl[l] {
+			pl[l][f].kind, pl[l][f].owner = holdOwned, owner
+		}
 	}
-	if !tensor.EqualShapes(dst.Shape(), src.Shape()) {
-		return fmt.Errorf("dist: checkpoint layer %d %s has shape %v, model wants %v", l, name, src.Shape(), dst.Shape())
+}
+
+// carve cuts this PE's part out of the full tensor src: its slice of a
+// split field, all of it otherwise. Always a copy, never an alias.
+func (h *hold) carve(src *tensor.Tensor) *tensor.Tensor {
+	if h.kind == holdSplit {
+		return src.Narrow(h.axis, h.off, h.n)
 	}
-	copy(dst.Data(), src.Data())
+	return src.Clone()
+}
+
+// seedVelocities installs, for every field group rank holds, its carve
+// of the canonical velocity vel — the same cut its parameter got.
+func (pl placement) seedVelocities(mom *nn.Momentum, vel []nn.Params, rank int) {
+	for l := range pl {
+		canon := fields(&vel[l])
+		for f := range pl[l] {
+			h := &pl[l][f]
+			if h.t == nil || *canon[f] == nil || (h.kind == holdOwned && h.owner != rank) {
+				continue
+			}
+			mom.SeedVelocity(h.t, h.carve(*canon[f]))
+		}
+	}
+}
+
+// gather assembles the canonical state on group rank root by inverting
+// the placement: split fields allgather along their axis, owned fields
+// travel from their owner to root, and root clones whole fields. Every
+// rank of the group calls it (the allgathers are collective); only root
+// returns the state. vel is nil for plain-SGD runs.
+func (pl placement) gather(group *Comm, root int, mom *nn.Momentum) (params, vel []nn.Params) {
+	isRoot := group.Rank() == root
+	if isRoot {
+		params = make([]nn.Params, len(pl))
+		if mom != nil {
+			vel = make([]nn.Params, len(pl))
+		}
+	}
+	velOf := func(t *tensor.Tensor) *tensor.Tensor { return velClone(mom, t) }
+	for l := range pl {
+		for f := range pl[l] {
+			h := &pl[l][f]
+			if h.t == nil {
+				continue
+			}
+			p := h.collect(group, root, (*tensor.Tensor).Clone)
+			if isRoot {
+				*fields(&params[l])[f] = p
+			}
+			if mom == nil {
+				continue
+			}
+			v := h.collect(group, root, velOf)
+			if isRoot {
+				*fields(&vel[l])[f] = v
+			}
+		}
+	}
+	return params, vel
+}
+
+// collect brings one field's full tensor to group rank root. Each
+// contributing rank builds its part with local — a private copy of the
+// held parameter or of its velocity — and hands ownership over; ranks
+// other than root return nil.
+func (h *hold) collect(group *Comm, root int, local func(*tensor.Tensor) *tensor.Tensor) *tensor.Tensor {
+	me := group.Rank()
+	switch {
+	case h.kind == holdSplit:
+		if full := group.allGather(local(h.t), h.axis); me == root {
+			return full
+		}
+	case h.kind == holdOwned && h.owner != root:
+		if me == h.owner {
+			group.sendOwned(root, local(h.t))
+		} else if me == root {
+			return group.Recv(h.owner)
+		}
+	case me == root:
+		return local(h.t)
+	}
 	return nil
 }
 
@@ -81,292 +182,60 @@ func restoreField(dst, src *tensor.Tensor, l int, name string) error {
 // absence ≡ zeros, and presence is SPMD-deterministic, so every PE of
 // a gather agrees on the geometry).
 func velClone(mom *nn.Momentum, w *tensor.Tensor) *tensor.Tensor {
-	if w == nil {
-		return nil
-	}
 	if v := mom.Velocity(w); v != nil {
 		return v.Clone()
 	}
 	return tensor.New(w.Shape()...)
 }
 
-// seedVel installs a private clone of canonical velocity v for
-// parameter (or shard) w.
-func seedVel(mom *nn.Momentum, w, v *tensor.Tensor) {
-	if w == nil || v == nil {
-		return
+// checkState validates a restore target once, before any PE spawns:
+// the snapshot must be for m, carry parameters for every layer and
+// velocities for none or all of them, and match m's parameter geometry
+// field by field. Every PE's restore is then a plain copy.
+func checkState(m *nn.Model, st *ckpt.State) error {
+	g := m.G()
+	if st.Model != m.Name {
+		return fmt.Errorf("dist: checkpoint is for model %q, run is for %q", st.Model, m.Name)
 	}
-	mom.SeedVelocity(w, v.Clone())
-}
-
-// velRestorable reports whether a run has velocity state to re-seed.
-func velRestorable(cfg *runConfig, mom *nn.Momentum) bool {
-	return mom != nil && cfg.initState != nil && cfg.initState.Vel != nil
-}
-
-// cloneNetState snapshots a fully-replicated network: the sequential
-// engine's state, and the spatial engine's (where every PE steps the
-// whole replica in lockstep, so rank 0's replica IS the canonical
-// state). vel is nil for plain-SGD runs.
-func cloneNetState(net *nn.Network, mom *nn.Momentum) (params, vel []nn.Params) {
-	params = net.CloneParams()
-	if mom == nil {
-		return params, nil
+	if len(st.Params) != g {
+		return fmt.Errorf("dist: checkpoint has %d layers, model %q has %d", len(st.Params), m.Name, g)
 	}
-	vel = make([]nn.Params, len(net.Params))
-	for l, p := range net.Params {
-		vel[l] = nn.Params{
-			W: velClone(mom, p.W), B: velClone(mom, p.B),
-			Gamma: velClone(mom, p.Gamma), Beta: velClone(mom, p.Beta),
-		}
+	if len(st.Vel) != 0 && len(st.Vel) != g {
+		return fmt.Errorf("dist: checkpoint carries velocities for %d layers, model %q has %d (want 0 or %d)", len(st.Vel), m.Name, g, g)
 	}
-	return params, vel
-}
-
-// seedFullVelocities re-seeds momentum state for a fully-replicated
-// engine (sequential, spatial): every parameter takes its full
-// canonical velocity.
-func seedFullVelocities(cfg *runConfig, mom *nn.Momentum, net *nn.Network) {
-	if !velRestorable(cfg, mom) {
-		return
+	if err := checkBatches(m, nil); err != nil {
+		return err // the model must compile before a reference replica can be built
 	}
-	for l := range net.Params {
-		v := cfg.initState.Vel[l]
-		seedVel(mom, net.Params[l].W, v.W)
-		seedVel(mom, net.Params[l].B, v.B)
-		seedVel(mom, net.Params[l].Gamma, v.Gamma)
-		seedVel(mom, net.Params[l].Beta, v.Beta)
-	}
-}
-
-// gatherFilterState reassembles the data×filter grid's canonical state
-// within one group: every sharded layer's W/B (and velocities)
-// Allgather along the filter axis — the exact inverse of filterShards'
-// Narrow — and the replicated BN parameters clone locally. All ranks of
-// every group run it (SPMD within the group; groups are replicas), and
-// every rank returns the full tensors; the caller emits on the result
-// rank only.
-func gatherFilterState(group *Comm, net *nn.Network, shards []*weightShard, mom *nn.Momentum) (params, vel []nn.Params) {
-	g := len(net.Params)
-	params = make([]nn.Params, g)
-	if mom != nil {
-		vel = make([]nn.Params, g)
-	}
-	for l := range net.Params {
-		if sh := shards[l]; sh != nil {
-			params[l].W = group.allGather(sh.w.Clone(), 0)
-			params[l].B = group.allGather(sh.b.Clone(), 0)
-			if mom != nil {
-				vel[l].W = group.allGather(velClone(mom, sh.w), 0)
-				vel[l].B = group.allGather(velClone(mom, sh.b), 0)
+	ref := newReplica(m, st.Seed)
+	for l := range ref.Params {
+		want, got := fields(&ref.Params[l]), fields(&st.Params[l])
+		for f, w := range want {
+			switch {
+			case (*w == nil) != (*got[f] == nil):
+				return fmt.Errorf("dist: checkpoint and model disagree on layer %d parameter %s", l, fieldNames[f])
+			case *w != nil && !tensor.EqualShapes((*got[f]).Shape(), (*w).Shape()):
+				return fmt.Errorf("dist: checkpoint layer %d %s has shape %v, model wants %v", l, fieldNames[f], (*got[f]).Shape(), (*w).Shape())
 			}
-			continue
-		}
-		cloneReplicated(&params[l], net.Params[l])
-		if mom != nil {
-			vel[l] = nn.Params{
-				W: velClone(mom, net.Params[l].W), B: velClone(mom, net.Params[l].B),
-				Gamma: velClone(mom, net.Params[l].Gamma), Beta: velClone(mom, net.Params[l].Beta),
-			}
-		}
-	}
-	return params, vel
-}
-
-func cloneReplicated(dst *nn.Params, src nn.Params) {
-	if src.W != nil {
-		dst.W = src.W.Clone()
-	}
-	if src.B != nil {
-		dst.B = src.B.Clone()
-	}
-	if src.Gamma != nil {
-		dst.Gamma = src.Gamma.Clone()
-	}
-	if src.Beta != nil {
-		dst.Beta = src.Beta.Clone()
-	}
-}
-
-// seedFilterVelocities re-seeds momentum state after a restore under
-// the data×filter grid: each shard takes its Narrow slice of the
-// canonical velocity (the same slice geometry filterShards carves from
-// the parameters), replicated layers take the full tensors.
-func seedFilterVelocities(cfg *runConfig, mom *nn.Momentum, net *nn.Network, shards []*weightShard) {
-	if !velRestorable(cfg, mom) {
-		return
-	}
-	for l := range net.Params {
-		v := cfg.initState.Vel[l]
-		sh := shards[l]
-		if sh == nil {
-			seedVel(mom, net.Params[l].W, v.W)
-			seedVel(mom, net.Params[l].B, v.B)
-			seedVel(mom, net.Params[l].Gamma, v.Gamma)
-			seedVel(mom, net.Params[l].Beta, v.Beta)
-			continue
-		}
-		if v.W != nil {
-			mom.SeedVelocity(sh.w, v.W.Narrow(0, sh.rng.Start, sh.rng.Size()))
-		}
-		if v.B != nil {
-			mom.SeedVelocity(sh.b, v.B.Narrow(0, sh.rng.Start, sh.rng.Size()))
-		}
-	}
-}
-
-// gatherChannelState reassembles the channel engine's canonical state:
-// sharded weights Allgather along the input-channel axis (conv axis 1;
-// FC column blocks, contiguous per rank, so the same axis-1 gather
-// inverts channelShards), while biases — replicated and stepped in
-// lockstep — and whole replicated layers clone locally.
-func gatherChannelState(c *Comm, net *nn.Network, shards []*weightShard, mom *nn.Momentum) (params, vel []nn.Params) {
-	g := len(net.Params)
-	params = make([]nn.Params, g)
-	if mom != nil {
-		vel = make([]nn.Params, g)
-	}
-	for l := range net.Params {
-		if sh := shards[l]; sh != nil {
-			params[l].W = c.allGather(sh.w.Clone(), 1)
-			params[l].B = net.Params[l].B.Clone()
-			if mom != nil {
-				vel[l].W = c.allGather(velClone(mom, sh.w), 1)
-				vel[l].B = velClone(mom, net.Params[l].B)
-			}
-			continue
-		}
-		cloneReplicated(&params[l], net.Params[l])
-		if mom != nil {
-			vel[l] = nn.Params{
-				W: velClone(mom, net.Params[l].W), B: velClone(mom, net.Params[l].B),
-				Gamma: velClone(mom, net.Params[l].Gamma), Beta: velClone(mom, net.Params[l].Beta),
-			}
-		}
-	}
-	return params, vel
-}
-
-// seedChannelVelocities mirrors gatherChannelState at restore time:
-// sharded weights take their axis-1 Narrow slice of the canonical
-// velocity, replicated biases and layers the full tensors.
-func seedChannelVelocities(cfg *runConfig, mom *nn.Momentum, net *nn.Network, shards []*weightShard) {
-	if !velRestorable(cfg, mom) {
-		return
-	}
-	layers := net.Model.Layers
-	for l := range net.Params {
-		v := cfg.initState.Vel[l]
-		sh := shards[l]
-		if sh == nil {
-			seedVel(mom, net.Params[l].W, v.W)
-			seedVel(mom, net.Params[l].B, v.B)
-			seedVel(mom, net.Params[l].Gamma, v.Gamma)
-			seedVel(mom, net.Params[l].Beta, v.Beta)
-			continue
-		}
-		if v.W != nil {
-			switch layers[l].Kind {
-			case nn.Conv:
-				mom.SeedVelocity(sh.w, v.W.Narrow(1, sh.rng.Start, sh.rng.Size()))
-			case nn.FC:
-				vol := int(layers[l].InSize()) / layers[l].C
-				mom.SeedVelocity(sh.w, v.W.Narrow(1, sh.rng.Start*vol, sh.rng.Size()*vol))
-			}
-		}
-		// The bias is replicated and stepped in lockstep on every PE.
-		seedVel(mom, net.Params[l].B, v.B)
-	}
-}
-
-// gatherPipelineState assembles the pipeline grid's canonical state on
-// the LAST stage of group 0 (the engine's result rank, which also owns
-// the loss series): every stage of the group sends its owned layers'
-// parameters — and velocities, under momentum — point-to-point to the
-// root in deterministic (stage-ascending, layer-ascending, W/B/Gamma/
-// Beta) order. Only group 0 calls this (other groups are bit-identical
-// replicas); ranks other than the root return nil.
-func gatherPipelineState(group *Comm, net *nn.Network, stages []strategy.PipelineStage, mom *nn.Momentum) (params, vel []nn.Params) {
-	root := group.Size() - 1
-	g := len(net.Params)
-	if group.Rank() == root {
-		params = make([]nn.Params, g)
-		if mom != nil {
-			vel = make([]nn.Params, g)
-		}
-	}
-	for _, st := range stages {
-		owner := st.PE
-		for l := st.Start; l < st.End; l++ {
-			for _, f := range fieldPtrs(&net.Params[l]) {
-				if *f == nil {
-					continue
-				}
-				switch {
-				case owner == root && group.Rank() == root:
-					*fieldSlot(&params[l], f, &net.Params[l]) = (*f).Clone()
-				case group.Rank() == owner:
-					group.Send(root, *f)
-				case group.Rank() == root:
-					*fieldSlot(&params[l], f, &net.Params[l]) = group.Recv(owner)
-				}
-			}
-			if mom == nil {
+			if len(st.Vel) == 0 {
 				continue
 			}
-			for _, f := range fieldPtrs(&net.Params[l]) {
-				if *f == nil {
-					continue
-				}
-				switch {
-				case owner == root && group.Rank() == root:
-					*fieldSlot(&vel[l], f, &net.Params[l]) = velClone(mom, *f)
-				case group.Rank() == owner:
-					group.sendOwned(root, velClone(mom, *f))
-				case group.Rank() == root:
-					*fieldSlot(&vel[l], f, &net.Params[l]) = group.Recv(owner)
-				}
+			if v := *fields(&st.Vel[l])[f]; v != nil && (*w == nil || !tensor.EqualShapes(v.Shape(), (*w).Shape())) {
+				return fmt.Errorf("dist: checkpoint velocity for layer %d %s does not match the model's parameter geometry", l, fieldNames[f])
 			}
 		}
 	}
-	return params, vel
+	return nil
 }
 
-// fieldPtrs returns the four parameter slots of a layer in canonical
-// order; nil slots mean the layer has no such parameter, identically
-// on every replica (geometry comes from the model spec).
-func fieldPtrs(p *nn.Params) [4]**tensor.Tensor {
-	return [4]**tensor.Tensor{&p.W, &p.B, &p.Gamma, &p.Beta}
-}
-
-// fieldSlot maps a source field pointer of ref onto the corresponding
-// slot of dst, so gathered tensors land in the same field they came
-// from.
-func fieldSlot(dst *nn.Params, f **tensor.Tensor, ref *nn.Params) **tensor.Tensor {
-	switch f {
-	case &ref.W:
-		return &dst.W
-	case &ref.B:
-		return &dst.B
-	case &ref.Gamma:
-		return &dst.Gamma
-	default:
-		return &dst.Beta
-	}
-}
-
-// seedStageVelocities re-seeds momentum state for this pipeline
-// stage's owned layers after a restore; other layers are never stepped
-// here and keep no velocity.
-func seedStageVelocities(cfg *runConfig, mom *nn.Momentum, net *nn.Network, st strategy.PipelineStage) {
-	if !velRestorable(cfg, mom) {
-		return
-	}
-	for l := st.Start; l < st.End; l++ {
-		v := cfg.initState.Vel[l]
-		seedVel(mom, net.Params[l].W, v.W)
-		seedVel(mom, net.Params[l].B, v.B)
-		seedVel(mom, net.Params[l].Gamma, v.Gamma)
-		seedVel(mom, net.Params[l].Beta, v.Beta)
+// restoreParams copies the canonical snapshot parameters over net's
+// seed-derived ones; checkState has already validated their geometry.
+func restoreParams(net *nn.Network, st *ckpt.State) {
+	for l := range net.Params {
+		src := fields(&st.Params[l])
+		for f, dst := range fields(&net.Params[l]) {
+			if *dst != nil {
+				copy((*dst).Data(), (*src[f]).Data())
+			}
+		}
 	}
 }

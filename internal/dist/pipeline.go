@@ -43,21 +43,18 @@ func runDataPipeline(m *nn.Model, batches []Batch, cfg *runConfig, p1, p2 int, l
 	resultRank := p2 - 1 // group 0's last stage: the first PE to own a global loss
 	return runGrid(m, batches, cfg, label, p1, p2, resultRank, func(world, group, seg *Comm, net *nn.Network, opt *stepper) (engine, error) {
 		st := stages[group.Rank()]
-		seedStageVelocities(cfg, opt.mom, net, st)
 		ex := newGradExchanger(seg, cfg)
+		// Each stage owns its layers whole; a checkpoint streams them to
+		// the last stage, the result rank.
+		place := replicated(net)
+		for _, s := range stages {
+			place.own(s.Start, s.End, s.PE)
+		}
 		return engine{
 			step: func(x *tensor.Tensor, labels []int, weight float64) float64 {
 				return dataPipelineStep(group, seg, ex, net, st, x, labels, weight, opt)
 			},
-			snapshot: func() (params, vel []nn.Params) {
-				if seg.Rank() != 0 {
-					return nil, nil
-				}
-				// Group 0 (the groups are bit-identical replicas) streams
-				// every stage's owned layers to its last stage — the
-				// result rank, which also owns the loss series.
-				return gatherPipelineState(group, net, stages, opt.mom)
-			},
+			place: place,
 		}, nil
 	})
 }

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"fmt"
 	"time"
 
 	"paradl/internal/ckpt"
@@ -347,12 +346,9 @@ func Run(m *nn.Model, batches []Batch, pl Plan, opts ...Option) (*Result, error)
 		return nil, err // includes unregistered strategies
 	}
 	cfg.planStr = pl.String()
-	if st := cfg.initState; st != nil {
-		if st.Model != m.Name {
-			return nil, fmt.Errorf("dist: checkpoint is for model %q, run is for %q", st.Model, m.Name)
-		}
-		if len(st.Params) != m.G() {
-			return nil, fmt.Errorf("dist: checkpoint has %d layers, model %q has %d", len(st.Params), m.Name, m.G())
+	if cfg.initState != nil {
+		if err := checkState(m, cfg.initState); err != nil {
+			return nil, err
 		}
 	}
 	return registry[pl.Strategy](m, batches, pl, &cfg)

@@ -237,7 +237,6 @@ func runDataSpatial(m *nn.Model, batches []Batch, cfg *runConfig, p1, p2 int, la
 		plans[l] = pl
 	}
 	return runGrid(m, batches, cfg, label, p1, p2, 0, func(world, group, seg *Comm, net *nn.Network, opt *stepper) (engine, error) {
-		seedFullVelocities(cfg, opt.mom, net)
 		// Two bucketed exchanges per PE: trunk conv gradients sum over
 		// the whole world, head gradients over the segment.
 		exWorld := newGradExchanger(world, cfg)
@@ -246,14 +245,9 @@ func runDataSpatial(m *nn.Model, batches []Batch, cfg *runConfig, p1, p2 int, la
 			step: func(x *tensor.Tensor, labels []int, weight float64) float64 {
 				return dataSpatialStep(world, group, seg, exWorld, exSeg, net, x, labels, weight, plans, fcStart, opt)
 			},
-			snapshot: func() (params, vel []nn.Params) {
-				if world.Rank() != 0 {
-					return nil, nil
-				}
-				// Every PE steps the full replica in lockstep, so rank 0's
-				// replica IS the canonical state — no gather traffic.
-				return cloneNetState(net, opt.mom)
-			},
+			// Every PE steps the full replica in lockstep, so the result
+			// rank's replica IS the canonical state — no gather traffic.
+			place: replicated(net),
 		}, nil
 	})
 }

@@ -29,18 +29,15 @@ func runDataFilter(m *nn.Model, batches []Batch, cfg *runConfig, p1, p2 int, lab
 	rsOK := scatterableInputGrads(m, p2, cfg)
 	return runGrid(m, batches, cfg, label, p1, p2, 0, func(world, group, seg *Comm, net *nn.Network, opt *stepper) (engine, error) {
 		ex := newGradExchanger(seg, cfg)
-		shards, err := filterShards(net, group.Rank(), p2)
+		shards, place, err := filterShards(net, group.Rank(), p2)
 		if err != nil {
 			return engine{}, err
 		}
-		seedFilterVelocities(cfg, opt.mom, net, shards)
 		return engine{
 			step: func(x *tensor.Tensor, labels []int, weight float64) float64 {
 				return dataFilterStep(group, seg, ex, net, shards, rsOK, x, labels, weight, opt)
 			},
-			// Collective within the group: every group holds an
-			// identical replica of the canonical state.
-			snapshot: func() (params, vel []nn.Params) { return gatherFilterState(group, net, shards, opt.mom) },
+			place: place,
 		}, nil
 	})
 }
@@ -88,12 +85,15 @@ func scatterableInputGrads(m *nn.Model, p2 int, cfg *runConfig) []bool {
 }
 
 // filterShards carves rank's output-channel slice out of every weighted
-// layer of an (identically seeded) full replica. The slices are the
-// PE's authoritative parameters from here on; the replica keeps only
-// the replicated BN parameters live.
-func filterShards(net *nn.Network, rank, p int) ([]*weightShard, error) {
+// layer of an (identically seeded) full replica and returns it with the
+// PE's placement: weights and biases split along axis 0 (F), the
+// replicated BN parameters whole. The slices are the PE's authoritative
+// parameters from here on; the replica keeps only the BN parameters
+// live.
+func filterShards(net *nn.Network, rank, p int) ([]*weightShard, placement, error) {
 	layers := net.Model.Layers
 	shards := make([]*weightShard, len(layers))
+	place := replicated(net)
 	for l := range layers {
 		spec := &layers[l]
 		if spec.Kind != nn.Conv && spec.Kind != nn.FC {
@@ -101,7 +101,7 @@ func filterShards(net *nn.Network, rank, p int) ([]*weightShard, error) {
 		}
 		rngs, err := strategy.FilterShards(spec, p)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		rng := rngs[rank]
 		if p == 1 {
@@ -112,12 +112,12 @@ func filterShards(net *nn.Network, rank, p int) ([]*weightShard, error) {
 			continue
 		}
 		shards[l] = &weightShard{
-			w:   net.Params[l].W.Narrow(0, rng.Start, rng.Size()),
-			b:   net.Params[l].B.Narrow(0, rng.Start, rng.Size()),
+			w:   place.shard(l, fieldW, 0, rng.Start, rng.Size()),
+			b:   place.shard(l, fieldB, 0, rng.Start, rng.Size()),
 			rng: rng,
 		}
 	}
-	return shards, nil
+	return shards, place, nil
 }
 
 // shardGrad returns this PE's output-channel slice of the loss
@@ -326,30 +326,32 @@ func runChannel(m *nn.Model, batches []Batch, cfg *runConfig, p int) (*Result, e
 		return nil, err
 	}
 	return runGrid(m, batches, cfg, "channel", 1, p, 0, func(world, _, _ *Comm, net *nn.Network, opt *stepper) (engine, error) {
-		shards, err := channelShards(net, world.Rank(), p)
+		shards, place, err := channelShards(net, world.Rank(), p)
 		if err != nil {
 			return engine{}, err
 		}
-		seedChannelVelocities(cfg, opt.mom, net, shards)
 		return engine{
 			step: func(x *tensor.Tensor, labels []int, _ float64) float64 {
 				return channelStep(world, net, shards, x, labels, opt)
 			},
-			snapshot: func() (params, vel []nn.Params) { return gatherChannelState(world, net, shards, opt.mom) },
+			place: place,
 		}, nil
 	})
 }
 
 // channelShards carves rank's input-channel slice of every weighted
-// layer wide enough to split; narrower layers keep shards[l] == nil and
-// run replicated. FC weights are sliced by channel blocks of the
+// layer wide enough to split and returns it with the PE's placement:
+// weights split along axis 1 (C), biases — stepped in lockstep on every
+// PE — and narrower layers, which keep shards[l] == nil and run
+// replicated, whole. FC weights are sliced by channel blocks of the
 // flattened input (the layer is the paper's kernel-equals-input
 // convolution, so a channel is a contiguous run of vol(In) columns).
-func channelShards(net *nn.Network, rank, p int) ([]*weightShard, error) {
+func channelShards(net *nn.Network, rank, p int) ([]*weightShard, placement, error) {
 	layers := net.Model.Layers
 	shards := make([]*weightShard, len(layers))
+	place := replicated(net)
 	if p == 1 {
-		return shards, nil // degenerate width: run every layer replicated
+		return shards, place, nil // degenerate width: run every layer replicated
 	}
 	for l := range layers {
 		spec := &layers[l]
@@ -358,20 +360,17 @@ func channelShards(net *nn.Network, rank, p int) ([]*weightShard, error) {
 		}
 		rngs, err := strategy.ChannelShards(spec, p)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		rng := rngs[rank]
-		sh := &weightShard{rng: rng}
-		switch spec.Kind {
-		case nn.Conv:
-			sh.w = net.Params[l].W.Narrow(1, rng.Start, rng.Size())
-		case nn.FC:
+		off, n := rng.Start, rng.Size()
+		if spec.Kind == nn.FC {
 			vol := int(spec.InSize()) / spec.C
-			sh.w = net.Params[l].W.Narrow(1, rng.Start*vol, rng.Size()*vol)
+			off, n = off*vol, n*vol
 		}
-		shards[l] = sh
+		shards[l] = &weightShard{w: place.shard(l, fieldW, 1, off, n), rng: rng}
 	}
-	return shards, nil
+	return shards, place, nil
 }
 
 // channelStep runs one channel-parallel SGD iteration. The graph walk
